@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto distinct exit codes (config=2, parse=3,
-numeric/domain=4); plain ValueError/KeyError from misuse also map to 4.
+numeric/domain=4); a plain ValueError or KeyError, like a CapacityError
+or a missing file, maps to 2, and an ArithmeticError to 4.
 """
 
 

@@ -28,7 +28,31 @@ KIND_UNIFORM = "uniform-sphere"
 
 
 def _is_pole(theta_deg):
-    return theta_deg == 0.0 or theta_deg == 180.0
+    return (theta_deg == 0.0) | (theta_deg == 180.0)
+
+
+def _round9(values):
+    """Python's round(v, 9) of each value, bit for bit."""
+    scaled = values * 1e9
+    out = np.rint(scaled) / 1e9
+    # rint sees the product rounded to a double, Python the exact product;
+    # they can part only where that double is a half-integer or has no
+    # fraction bits left
+    redo = (np.abs(scaled - np.trunc(scaled)) == 0.5) | ~(np.abs(scaled) < 2.0**52)
+    out[redo] = [round(v, 9) for v in values[redo].tolist()]
+    return out
+
+
+def direction_keys(theta_deg, phi_deg):
+    """Lookup keys of 1-D arrays of directions: theta and phi rounded to
+    9 decimals, with phi wrapped into [0, 360) and set to 0 at the poles.
+
+    Grid lookup, the grid's duplicate check and the pattern reader all
+    key directions with this one function.
+    """
+    theta = np.asarray(theta_deg, dtype=np.float64)
+    phi = np.where(_is_pole(theta), 0.0, np.asarray(phi_deg, dtype=np.float64) % 360.0)
+    return _round9(theta), _round9(phi)
 
 
 @dataclass(frozen=True)
@@ -65,7 +89,8 @@ class SphericalGrid:
     kind: str
     theta_step_deg: float | None = None
     phi_step_deg: float | None = None
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
+    # direction key -> position, built on the first index_of call
+    _index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         theta = np.ascontiguousarray(self.theta_deg, dtype=np.float64)
@@ -82,19 +107,15 @@ class SphericalGrid:
         object.__setattr__(self, "theta_deg", theta)
         object.__setattr__(self, "phi_deg", phi)
         object.__setattr__(self, "weight_sr", weight)
-        index = {}
-        for i in range(theta.size):
-            key = self._key(theta[i], phi[i])
-            if key in index:
-                raise ValueError(f"duplicate direction at rows {index[key]} and {i}")
-            index[key] = i
-        object.__setattr__(self, "_index", index)
-
-    @staticmethod
-    def _key(theta_deg, phi_deg):
-        if _is_pole(theta_deg):
-            phi_deg = 0.0
-        return (round(float(theta_deg), 9), round(float(phi_deg) % 360.0, 9))
+        key_t, key_p = direction_keys(theta, phi)
+        order = np.lexsort((key_p, key_t))
+        repeated = (key_t[order[1:]] == key_t[order[:-1]]) & (
+            key_p[order[1:]] == key_p[order[:-1]]
+        )
+        if repeated.any():
+            i = order[1:][repeated].min()
+            first = np.flatnonzero((key_t == key_t[i]) & (key_p == key_p[i]))[0]
+            raise ValueError(f"duplicate direction at rows {first} and {i}")
 
     def __len__(self):
         return self.theta_deg.size
@@ -103,7 +124,11 @@ class SphericalGrid:
         return Direction(self.theta_deg[i], self.phi_deg[i])
 
     def index_of(self, direction: Direction) -> int:
-        key = self._key(direction.theta_deg, direction.phi_deg)
+        if not self._index:
+            key_t, key_p = direction_keys(self.theta_deg, self.phi_deg)
+            self._index.update(zip(zip(key_t.tolist(), key_p.tolist()), range(len(self))))
+        key_t, key_p = direction_keys([direction.theta_deg], [direction.phi_deg])
+        key = (key_t.item(), key_p.item())
         if key not in self._index:
             raise KeyError(f"direction {direction} not on grid")
         return self._index[key]
@@ -154,25 +179,23 @@ def make_regular_grid(theta_step_deg, phi_step_deg) -> SphericalGrid:
     theta_step = 180.0 / n_theta
     phi_step = 360.0 / n_phi
 
-    thetas, phis, weights = [], [], []
+    # per ring in math, as np.cos may differ by an ulp; the weights reach
+    # the bytes of the coverage CDF
+    ring_thetas, ring_sizes, ring_weights = [], [], []
     for i in range(n_theta + 1):
         theta = i * theta_step
         lo = max(0.0, theta - theta_step / 2.0)
         hi = min(180.0, theta + theta_step / 2.0)
-        band = _band_solid_angle(lo, hi)
-        if _is_pole(theta):
-            thetas.append(theta)
-            phis.append(0.0)
-            weights.append(band)
-        else:
-            for j in range(n_phi):
-                thetas.append(theta)
-                phis.append(j * phi_step)
-                weights.append(band / n_phi)
+        size = 1 if _is_pole(theta) else n_phi
+        ring_thetas.append(theta)
+        ring_sizes.append(size)
+        ring_weights.append(_band_solid_angle(lo, hi) / size)
+    ring_start = np.cumsum(ring_sizes) - ring_sizes
+    phi_index = np.arange(sum(ring_sizes)) - np.repeat(ring_start, ring_sizes)
     return SphericalGrid(
-        np.array(thetas),
-        np.array(phis),
-        np.array(weights),
+        np.repeat(ring_thetas, ring_sizes),
+        phi_index * phi_step,
+        np.repeat(ring_weights, ring_sizes),
         kind=KIND_REGULAR,
         theta_step_deg=theta_step,
         phi_step_deg=phi_step,
@@ -254,7 +277,7 @@ def regular_ring_structure(grid: SphericalGrid):
 def detect_regular_steps(theta_deg, phi_deg):
     """(theta_step, phi_step) if the directions form the full regular
     lattice of make_regular_grid, else None."""
-    thetas = np.unique(theta_deg)
+    thetas, ring = np.unique(theta_deg, return_inverse=True)
     if thetas.size < 3 or thetas[0] != 0.0 or thetas[-1] != 180.0:
         return None
     steps = np.diff(thetas)
@@ -262,21 +285,19 @@ def detect_regular_steps(theta_deg, phi_deg):
         return None
     theta_step = 180.0 / (thetas.size - 1)
 
-    phi_step = None
-    for theta in thetas:
-        phis = np.sort(np.asarray(phi_deg)[np.asarray(theta_deg) == theta])
-        if _is_pole(theta):
-            if phis.size != 1:
-                return None
-            continue
-        expected_step = 360.0 / phis.size
-        if phi_step is None:
-            phi_step = expected_step
-        if abs(expected_step - phi_step) > 1e-9:
-            return None
-        if not np.allclose(phis, np.arange(phis.size) * phi_step, rtol=0.0, atol=1e-9):
-            return None
-    if phi_step is None:
+    # one sample per pole; the rings between carry 360/phi_step samples each
+    sizes = np.bincount(ring)
+    if sizes[0] != 1 or sizes[-1] != 1:
+        return None
+    phi_step = 360.0 / int(sizes[1])
+    if np.any(np.abs(360.0 / sizes[1:-1] - phi_step) > 1e-9):
+        return None
+    # phis sorted within each ring, against j * phi_step; the poles stay out
+    order = np.lexsort((phi_deg, ring))
+    j = np.arange(order.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    if not np.allclose(
+        np.asarray(phi_deg)[order][1:-1], j[1:-1] * phi_step, rtol=0.0, atol=1e-9
+    ):
         return None
     return theta_step, phi_step
 

@@ -20,13 +20,6 @@ def format_float(value) -> str:
     return np.format_float_positional(v, unique=True, trim="0")
 
 
-def parse_float(text, path=None, row=None) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ParseError(f"non-numeric value {text!r}", path=path, row=row) from None
-
-
 def read_json(path):
     try:
         with open(path) as fh:

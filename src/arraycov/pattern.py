@@ -18,6 +18,7 @@ from .grid import (
     SphericalGrid,
     _is_pole,
     detect_regular_steps,
+    direction_keys,
     make_regular_grid,
     regular_ring_structure,
 )
@@ -116,14 +117,24 @@ def sidecar_path(csv_path) -> str:
     return root + ".json"
 
 
+def _check_header(header, path):
+    if header is None or [h.strip() for h in header] != PATTERN_CSV_HEADER:
+        raise ParseError(
+            f"expected header {','.join(PATTERN_CSV_HEADER)}", path=path, row=1
+        )
+
+
 def _parse_pattern_rows(path):
+    """Validate a pattern CSV row by row; yields (row, feed, theta, phi % 360,
+    g_theta, g_phi) per data row and raises ParseError at the first bad one.
+
+    This is the definition of a valid row. load_pattern_csv reads well-formed
+    files in one vectorized pass and comes here only to reject a file, to
+    accept what that pass is stricter about, or to locate a row.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != PATTERN_CSV_HEADER:
-            raise ParseError(
-                f"expected header {','.join(PATTERN_CSV_HEADER)}", path=path, row=1
-            )
+        _check_header(next(reader, None), path)
         for lineno, rec in enumerate(reader, start=2):
             if not rec:
                 continue
@@ -148,6 +159,118 @@ def _parse_pattern_rows(path):
             yield lineno, feed, theta, phi % 360.0, g_theta, g_phi
 
 
+def _row_number(path, index):
+    """File row of the index-th data row; blank rows are skipped by the
+    readers, so the two differ."""
+    for i, row in enumerate(_parse_pattern_rows(path)):
+        if i == index:
+            return row[0]
+
+
+def _number_feeds(labels):
+    """(feeds, feed_id): the stripped labels of an object array in
+    first-seen order, and each row's position among them."""
+    # rows come in runs of one label, so look up one label per run
+    change = np.ones(labels.size, dtype=bool)
+    change[1:] = labels[1:] != labels[:-1]
+    starts = np.flatnonzero(change)
+    ids = {}
+    run_ids = [ids.setdefault(label.strip(), len(ids)) for label in labels[starts]]
+    feed_id = np.repeat(np.array(run_ids, dtype=np.int64), np.diff(starts, append=labels.size))
+    return list(ids), feed_id
+
+
+def _lines_from(first, rest):
+    yield first
+    yield from rest
+
+
+def _read_table(path):
+    """The data rows of a pattern CSV in file order.
+
+    Returns (feeds, feed_id, table, error): table holds one row of
+    theta, phi % 360, re_gtheta, im_gtheta, re_gphi, im_gphi per data row
+    and feed_id indexes feeds. error is None, or the exception that
+    stopped the row-by-row read at an invalid row, in which case only the
+    rows before it are returned.
+    """
+    records = None
+    with open(path, newline="") as fh:
+        _check_header(next(csv.reader(fh), None), path)
+        # loadtxt warns on a file without data; such a file goes the slow way
+        first = next((line for line in fh if line.strip("\r\n")), None)
+        if first is not None:
+            try:
+                records = np.loadtxt(
+                    _lines_from(first, fh),
+                    delimiter=",",
+                    comments=None,
+                    quotechar='"',
+                    dtype=[("feed", object), ("v", "f8", (6,))],
+                    ndmin=1,
+                )
+            except ValueError:
+                pass
+    if records is not None:
+        feeds, feed_id = _number_feeds(records["feed"])
+        table = records["v"].copy()
+        del records
+        theta = table[:, 0]
+        if (
+            "" not in feeds
+            and np.isfinite(table).all()
+            and ((theta >= 0.0) & (theta <= 180.0)).all()
+        ):
+            table[:, 1] %= 360.0
+            return feeds, feed_id, table, None
+
+    rows, error = [], None
+    try:
+        rows.extend(_parse_pattern_rows(path))
+    except (ParseError, csv.Error, UnicodeDecodeError) as exc:
+        error = exc
+    feeds, feed_id = _number_feeds(np.array([row[1] for row in rows], dtype=object))
+    table = np.array(
+        [(t, p, gt.real, gt.imag, gp.real, gp.imag) for _, _, t, p, gt, gp in rows],
+        dtype=np.float64,
+    ).reshape(-1, 6)
+    return feeds, feed_id, table, error
+
+
+def _merge_directions(path, feeds, feed_id, table):
+    """Rows of table that hold each feed's samples, sorted by feed, then by
+    direction key; returns them with the keys of every row.
+
+    Repeated pole rows (theta 0 or 180 at several phi) merge into the first
+    one. A repeated non-pole direction, or a pole row that disagrees with
+    the first by more than _POLE_MERGE_ATOL, raises ParseError at the
+    later row in file order.
+    """
+    theta, phi = table[:, 0], table[:, 1]
+    key_t, key_p = direction_keys(theta, phi)
+    order = np.lexsort((key_p, key_t, feed_id))  # stable: file order within a key
+    a, b = order[:-1], order[1:]
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = (feed_id[a] != feed_id[b]) | (key_t[a] != key_t[b]) | (key_p[a] != key_p[b])
+    later = order[~starts]
+    first = order[starts][np.cumsum(starts)[~starts] - 1]
+    diff = table[later, 2:] - table[first, 2:]
+    bad = (
+        ~_is_pole(theta[later])
+        | (np.hypot(diff[:, 0], diff[:, 1]) > _POLE_MERGE_ATOL)
+        | (np.hypot(diff[:, 2], diff[:, 3]) > _POLE_MERGE_ATOL)
+    )
+    if bad.any():
+        i = later[bad].min()
+        feed, t, p = feeds[feed_id[i]], float(theta[i]), float(phi[i])
+        if _is_pole(t):
+            message = f"conflicting pole samples for feed {feed} at theta={t}"
+        else:
+            message = f"duplicate direction theta={t} phi={p} for feed {feed}"
+        raise ParseError(message, path=path, row=_row_number(path, i))
+    return order[starts], key_t, key_p
+
+
 def load_pattern_csv(path) -> ElementPatternSet:
     """Read a pattern CSV (plus optional JSON sidecar for metadata).
 
@@ -156,68 +279,49 @@ def load_pattern_csv(path) -> ElementPatternSet:
     (theta 0 or 180 at several phi) collapse to the single stored pole
     sample and must agree within 1e-7.
     """
-    per_feed = {}
-    feeds = []
-    for lineno, feed, theta, phi, g_theta, g_phi in _parse_pattern_rows(path):
-        if feed not in per_feed:
-            per_feed[feed] = {}
-            feeds.append(feed)
-        # rounded key, matching SphericalGrid lookup semantics
-        key = SphericalGrid._key(theta, phi)
-        samples = per_feed[feed]
-        if key in samples:
-            prev = samples[key]
-            if not _is_pole(theta):
-                raise ParseError(
-                    f"duplicate direction theta={theta} phi={phi} for feed {feed}",
-                    path=path,
-                    row=lineno,
-                )
-            if abs(prev[0] - g_theta) > _POLE_MERGE_ATOL or (
-                abs(prev[1] - g_phi) > _POLE_MERGE_ATOL
-            ):
-                raise ParseError(
-                    f"conflicting pole samples for feed {feed} at theta={theta}",
-                    path=path,
-                    row=lineno,
-                )
-        else:
-            samples[key] = (g_theta, g_phi)
+    feeds, feed_id, table, error = _read_table(path)
+    rows, key_t, key_p = _merge_directions(path, feeds, feed_id, table)
+    if error is not None:
+        raise error
     if not feeds:
         raise ParseError("no samples", path=path)
 
-    first = feeds[0]
-    keys = set(per_feed[first])
-    for feed in feeds[1:]:
-        if set(per_feed[feed]) != keys:
+    # rows are grouped by feed; every feed must cover feed 0's key set
+    ends = np.cumsum(np.bincount(feed_id[rows], minlength=len(feeds)))
+    ref_t, ref_p = key_t[rows[: ends[0]]], key_p[rows[: ends[0]]]
+    for fi in range(1, len(feeds)):
+        own = rows[ends[fi - 1] : ends[fi]]
+        if not (np.array_equal(key_t[own], ref_t) and np.array_equal(key_p[own], ref_p)):
             raise ParseError(
-                f"feed {feed} covers different directions than feed {first}", path=path
+                f"feed {feeds[fi]} covers different directions than feed {feeds[0]}",
+                path=path,
             )
 
-    thetas = np.array([k[0] for k in keys])
-    phis = np.array([k[1] for k in keys])
-    steps = detect_regular_steps(thetas, phis)
+    steps = detect_regular_steps(ref_t, ref_p)
     if steps is None:
         raise ParseError(
             "directions do not form a full regular theta/phi lattice", path=path
         )
     grid = make_regular_grid(*steps)
 
-    gains = np.empty((len(feeds), len(grid), 2), dtype=np.complex128)
-    for fi, feed in enumerate(feeds):
-        samples = per_feed[feed]
-        for di in range(len(grid)):
-            key = SphericalGrid._key(grid.theta_deg[di], grid.phi_deg[di])
-            try:
-                g_theta, g_phi = samples[key]
-            except KeyError:
-                raise ParseError(
-                    f"feed {feed} is missing direction theta={grid.theta_deg[di]}"
-                    f" phi={grid.phi_deg[di]}",
-                    path=path,
-                ) from None
-            gains[fi, di, 0] = g_theta
-            gains[fi, di, 1] = g_phi
+    # grid order is ascending (theta, phi) key order, the order of each feed's rows
+    grid_t, grid_p = direction_keys(grid.theta_deg, grid.phi_deg)
+    if not (np.array_equal(grid_t, ref_t) and np.array_equal(grid_p, ref_p)):
+        present = set(zip(ref_t.tolist(), ref_p.tolist()))
+        di = next(
+            i
+            for i, key in enumerate(zip(grid_t.tolist(), grid_p.tolist()))
+            if key not in present
+        )
+        raise ParseError(
+            f"feed {feeds[0]} is missing direction theta={grid.theta_deg[di]}"
+            f" phi={grid.phi_deg[di]}",
+            path=path,
+        )
+    # columns re_gtheta, im_gtheta, re_gphi, im_gphi are the complex pair's memory layout
+    gains = np.ascontiguousarray(table[rows.reshape(len(feeds), -1), 2:]).view(
+        np.complex128
+    )
 
     frequency = DEFAULT_FREQUENCY_GHZ
     convention = DEFAULT_CONVENTION
@@ -273,12 +377,8 @@ def _ring_matrix(pattern_set: ElementPatternSet):
         (len(pattern_set.feeds), ring_thetas.size, n_phi, 2), dtype=np.complex128
     )
     for ri, idx in enumerate(rings):
-        vals = pattern_set.gains[:, idx, :]
-        if idx.size == 1:
-            # single pole sample replicated across the phi stencil
-            out[:, ri, :, :] = vals
-        else:
-            out[:, ri, :, :] = vals
+        # a pole's single sample broadcasts across the phi stencil
+        out[:, ri, :, :] = pattern_set.gains[:, idx, :]
     return ring_thetas, out
 
 

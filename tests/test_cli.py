@@ -336,6 +336,28 @@ def test_malformed_pattern_exits_3(tmp_path):
     assert not out.exists()
 
 
+def test_non_numeric_pattern_cell_exits_3_naming_row(tmp_path, capsys):
+    path = tmp_path / "pattern.csv"
+    save_pattern_csv(smooth_pattern(["f0"], seed=3), path)
+    lines = path.read_text().splitlines()
+    parts = lines[4].split(",")
+    parts[5] = "abc"
+    lines[4] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    cfg = write_config(
+        tmp_path,
+        {
+            "pattern": str(path),
+            "plan": {"bits": 2, "sub_arrays": [{"label": "s", "feeds": ["f0"]}]},
+            "output_dir": str(tmp_path / "out"),
+        },
+    )
+    assert main(["coverage", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "non-numeric value" in err
+    assert "row 5" in err
+
+
 def test_empty_beam_window_exits_4(tmp_path):
     sim = smooth_pattern(["f0"], seed=4)
     dead = ElementPatternSet(GRID, ("f0",), sim.gains * 1e-9)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from arraycov.grid import (
     Direction,
     SphericalGrid,
     detect_regular_steps,
+    direction_keys,
     load_grid_csv,
     make_regular_grid,
     make_uniform_sphere_grid,
@@ -140,6 +142,21 @@ def test_index_of_off_grid_raises():
         grid.index_of(Direction(15.0, 0.0))
 
 
+def test_direction_keys_are_python_round():
+    # ties at the 10th decimal, where rounding x * 1e9 as a double can
+    # pick the other neighbour, plus ordinary and very large angles
+    rng = np.random.default_rng(5)
+    theta = np.concatenate(
+        [np.arange(-40, 400) * 5e-10, rng.uniform(0.0, 180.0, 500), [1e7, 3.3e15]]
+    )
+    phi = np.concatenate([np.arange(-40, 400) * 0.5e-9 + 30.0, rng.uniform(-720, 720, 502)])
+    key_t, key_p = direction_keys(theta, phi)
+    for t, p, kt, kp in zip(theta.tolist(), phi.tolist(), key_t.tolist(), key_p.tolist()):
+        want_p = 0.0 if t in (0.0, 180.0) else p % 360.0
+        assert (kt, kp) == (round(t, 9), round(want_p, 9))
+        assert math.copysign(1.0, kt) == math.copysign(1.0, round(t, 9))
+
+
 def test_grid_arrays_immutable():
     grid = make_regular_grid(30.0, 90.0)
     with pytest.raises(ValueError):
@@ -154,6 +171,69 @@ def test_duplicate_directions_rejected():
             np.array([1.0, 1.0]),
             kind="uniform-sphere",
         )
+
+
+def test_duplicate_directions_named_by_row():
+    # the earliest repeat is reported with its first occurrence; pole
+    # directions collapse whatever their phi
+    with pytest.raises(ValueError, match="at rows 1 and 3"):
+        SphericalGrid(
+            np.array([10.0, 20.0, 30.0, 20.0, 10.0]),
+            np.array([0.0, 5.0, 0.0, 365.0, 0.0]),
+            np.ones(5),
+            kind="uniform-sphere",
+        )
+    with pytest.raises(ValueError, match="at rows 0 and 2"):
+        SphericalGrid(
+            np.array([180.0, 90.0, 180.0]),
+            np.array([0.0, 0.0, 90.0]),
+            np.ones(3),
+            kind="uniform-sphere",
+        )
+
+
+def test_index_of_follows_replaced_arrays():
+    # the lookup table is built lazily and must not carry over to a copy
+    grid = make_regular_grid(30.0, 90.0)
+    i = grid.index_of(Direction(90.0, 90.0))
+    flipped = replace(grid, phi_deg=(grid.phi_deg + 180.0) % 360.0)
+    assert flipped.index_of(Direction(90.0, 270.0)) == i
+    for k in range(len(flipped)):
+        assert flipped.index_of(flipped.direction(k)) == k
+
+
+def _ring_loop_regular_grid(theta_step_deg, phi_step_deg):
+    # make_regular_grid as one append per direction
+    n_theta = round(180.0 / theta_step_deg)
+    n_phi = round(360.0 / phi_step_deg)
+    theta_step, phi_step = 180.0 / n_theta, 360.0 / n_phi
+    thetas, phis, weights = [], [], []
+    for i in range(n_theta + 1):
+        theta = i * theta_step
+        lo = math.radians(max(0.0, theta - theta_step / 2.0))
+        hi = math.radians(min(180.0, theta + theta_step / 2.0))
+        band = 2.0 * math.pi * (math.cos(lo) - math.cos(hi))
+        if theta in (0.0, 180.0):
+            thetas.append(theta)
+            phis.append(0.0)
+            weights.append(band)
+        else:
+            for j in range(n_phi):
+                thetas.append(theta)
+                phis.append(j * phi_step)
+                weights.append(band / n_phi)
+    return np.array(thetas), np.array(phis), np.array(weights)
+
+
+@pytest.mark.parametrize(
+    "steps", [(1.0, 10.0), (30.0, 90.0), (0.5, 7.2), (180.0 / 7, 360.0 / 11)]
+)
+def test_regular_grid_bit_identical_to_ring_loop(steps):
+    grid = make_regular_grid(*steps)
+    for got, want in zip(
+        (grid.theta_deg, grid.phi_deg, grid.weight_sr), _ring_loop_regular_grid(*steps)
+    ):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_nonpositive_weights_rejected():
@@ -180,6 +260,20 @@ def test_detect_regular_steps():
     assert steps == (15.0, 45.0)
     uniform = make_uniform_sphere_grid(100)
     assert detect_regular_steps(uniform.theta_deg, uniform.phi_deg) is None
+
+
+@pytest.mark.parametrize(
+    "shift, regular", [(5e-10, True), (1e-6, False), (45.0, False), (0.0, True)]
+)
+def test_detect_regular_steps_phi_tolerance(shift, regular):
+    # phi may sit 1e-9 off the lattice in any row order; pole phi is free
+    grid = make_regular_grid(15.0, 45.0)
+    order = np.random.default_rng(2).permutation(len(grid))
+    theta, phi = grid.theta_deg[order], grid.phi_deg[order].copy()
+    phi[theta == 180.0] = 123.0
+    phi[np.flatnonzero(theta == 60.0)[3]] += shift
+    steps = detect_regular_steps(theta, phi)
+    assert steps == ((15.0, 45.0) if regular else None)
 
 
 def test_ring_structure():

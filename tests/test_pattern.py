@@ -2,15 +2,25 @@ import cmath
 import json
 import math
 import os
+import random
+import warnings
 
 import numpy as np
 import pytest
 
 from arraycov.errors import ParseError
-from arraycov.grid import Direction, make_regular_grid, make_uniform_sphere_grid
+from arraycov.grid import (
+    Direction,
+    _is_pole,
+    detect_regular_steps,
+    make_regular_grid,
+    make_uniform_sphere_grid,
+)
 from arraycov.pattern import (
+    _POLE_MERGE_ATOL,
     ElementPatternSet,
     PolarimetricSample,
+    _parse_pattern_rows,
     load_pattern_csv,
     power_gain_db,
     resample,
@@ -315,3 +325,255 @@ def test_resample_requires_regular_source():
     pset = ElementPatternSet(grid, ("a",), gains)
     with pytest.raises(ValueError, match="regular"):
         resample(pset, make_regular_grid(30.0, 90.0))
+
+
+HEADER = "feed,theta_deg,phi_deg,re_gtheta,im_gtheta,re_gphi,im_gphi"
+
+
+def _write_rows(tmp_path, rows, name="patterns.csv"):
+    path = tmp_path / name
+    path.write_text("\n".join([HEADER] + rows) + "\n")
+    return path
+
+
+def _key(theta_deg, phi_deg):
+    if _is_pole(theta_deg):
+        phi_deg = 0.0
+    return (round(float(theta_deg), 9), round(float(phi_deg) % 360.0, 9))
+
+
+def reference_load_pattern_csv(path):
+    """The row-by-row reader that load_pattern_csv replaced: one dict of
+    samples per feed, keyed by direction, filled in file order."""
+    per_feed = {}
+    feeds = []
+    for lineno, feed, theta, phi, g_theta, g_phi in _parse_pattern_rows(path):
+        if feed not in per_feed:
+            per_feed[feed] = {}
+            feeds.append(feed)
+        key = _key(theta, phi)
+        samples = per_feed[feed]
+        if key in samples:
+            prev = samples[key]
+            if not _is_pole(theta):
+                raise ParseError(
+                    f"duplicate direction theta={theta} phi={phi} for feed {feed}",
+                    path=path,
+                    row=lineno,
+                )
+            if abs(prev[0] - g_theta) > _POLE_MERGE_ATOL or (
+                abs(prev[1] - g_phi) > _POLE_MERGE_ATOL
+            ):
+                raise ParseError(
+                    f"conflicting pole samples for feed {feed} at theta={theta}",
+                    path=path,
+                    row=lineno,
+                )
+        else:
+            samples[key] = (g_theta, g_phi)
+    if not feeds:
+        raise ParseError("no samples", path=path)
+
+    first = feeds[0]
+    keys = set(per_feed[first])
+    for feed in feeds[1:]:
+        if set(per_feed[feed]) != keys:
+            raise ParseError(
+                f"feed {feed} covers different directions than feed {first}", path=path
+            )
+
+    steps = detect_regular_steps(
+        np.array([k[0] for k in keys]), np.array([k[1] for k in keys])
+    )
+    if steps is None:
+        raise ParseError(
+            "directions do not form a full regular theta/phi lattice", path=path
+        )
+    grid = make_regular_grid(*steps)
+
+    gains = np.empty((len(feeds), len(grid), 2), dtype=np.complex128)
+    for fi, feed in enumerate(feeds):
+        samples = per_feed[feed]
+        for di in range(len(grid)):
+            key = _key(grid.theta_deg[di], grid.phi_deg[di])
+            try:
+                g_theta, g_phi = samples[key]
+            except KeyError:
+                raise ParseError(
+                    f"feed {feed} is missing direction theta={grid.theta_deg[di]}"
+                    f" phi={grid.phi_deg[di]}",
+                    path=path,
+                ) from None
+            gains[fi, di, 0] = g_theta
+            gains[fi, di, 1] = g_phi
+    return ElementPatternSet(grid, tuple(feeds), gains)
+
+
+def _outcome(loader, path):
+    try:
+        p = loader(path)
+    except ParseError as exc:
+        return ("error", str(exc), exc.row)
+    return (
+        p.feeds,
+        p.gains.tobytes(),
+        p.grid.theta_deg.tobytes(),
+        p.grid.phi_deg.tobytes(),
+        p.grid.weight_sr.tobytes(),
+    )
+
+
+def _lattice_rows(rng, steps, labels, repeat_poles):
+    grid = make_regular_grid(*steps)
+    n_phi = round(360.0 / grid.phi_step_deg)
+    rows = []
+    for label in labels:
+        for theta, phi in zip(grid.theta_deg.tolist(), grid.phi_deg.tolist()):
+            values = ",".join(repr(rng.gauss(0.0, 1.0)) for _ in range(4))
+            if repeat_poles and _is_pole(theta):
+                phis = [j * grid.phi_step_deg for j in range(n_phi)]
+            else:
+                phis = [phi]
+            rows.extend(f"{label},{theta!r},{p!r},{values}" for p in phis)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_reader_matches_row_by_row_reference(tmp_path, seed):
+    rng = random.Random(seed)
+    steps = [(30.0, 90.0), (20.0, 45.0), (45.0, 120.0), (10.0, 30.0)][seed % 4]
+    labels = rng.sample(["1V", "2H", "3V", "4H", " 5V ", '"6,H"'], rng.randint(1, 4))
+    rows = _lattice_rows(rng, steps, labels, repeat_poles=seed % 3 == 0)
+    if seed % 2:
+        rng.shuffle(rows)
+    path = _write_rows(tmp_path, rows)
+    new = _outcome(load_pattern_csv, path)
+    assert new[0] != "error"
+    assert new == _outcome(reference_load_pattern_csv, path)
+
+
+def _mutate(rng, rows):
+    i = rng.choice([k for k, row in enumerate(rows) if row.count(",") == 6])
+    parts = rows[i].split(",")
+    kind = rng.randrange(6)
+    if kind == 0:  # repeated row, possibly a pole
+        rows.insert(rng.randrange(len(rows) + 1), rows[i])
+    elif kind == 1:  # pole or direction row with a shifted sample
+        parts[3] = repr(float(parts[3]) + rng.choice([1e-9, 1e-6]))
+        rows.insert(rng.randrange(len(rows) + 1), ",".join(parts))
+    elif kind == 2:
+        parts[rng.randrange(1, 7)] = rng.choice(["nan", "x", "", "1_0", "inf"])
+        rows[i] = ",".join(parts)
+    elif kind == 3:
+        rows.insert(i, rng.choice(["", "", "  ", "#", ",,,,,,"]))
+    elif kind == 4:
+        del rows[i]
+    else:
+        parts[1] = rng.choice(["-1", "181", "1e-12"])
+        rows[i] = ",".join(parts)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_reader_errors_match_row_by_row_reference(tmp_path, seed):
+    # malformed files fail with the same message at the same row, or
+    # load the same arrays
+    rng = random.Random(1000 + seed)
+    labels = rng.sample(["a", "b", "c"], rng.randint(1, 3))
+    rows = _lattice_rows(rng, (45.0, 90.0), labels, repeat_poles=seed % 2 == 0)
+    rng.shuffle(rows)
+    for _ in range(rng.randint(1, 3)):
+        _mutate(rng, rows)
+    path = _write_rows(tmp_path, rows)
+    assert _outcome(load_pattern_csv, path) == _outcome(reference_load_pattern_csv, path)
+
+
+def _minimal_rows(label="a"):
+    # full 90 x 180 lattice: both poles and four equator directions
+    return [
+        f"{label},{t},{p},{t / 90.0},0.5,0.0,-1.0"
+        for t, p in [(0.0, 0.0), (90.0, 0.0), (90.0, 180.0), (180.0, 0.0)]
+    ]
+
+
+@pytest.mark.parametrize(
+    "row", ["a,90.0,0.0,1.0,0.0,0.0,0.0,0.0", "a,90.0,0.0,1.0,0.0,0.0"]
+)
+def test_wrong_column_count_rejected_at_row(tmp_path, row):
+    rows = _minimal_rows()
+    rows.insert(2, row)
+    with pytest.raises(ParseError, match="expected 7 columns") as err:
+        load_pattern_csv(_write_rows(tmp_path, rows))
+    assert err.value.row == 4
+
+
+@pytest.mark.parametrize("label", ["F" * 40, '"quoted, label"'])
+def test_feed_labels_load_whole(tmp_path, label):
+    loaded = load_pattern_csv(_write_rows(tmp_path, _minimal_rows(label)))
+    assert loaded.feeds == (label.strip('"'),)
+
+
+def test_blank_lines_ignored(tmp_path):
+    rows = _minimal_rows("a") + _minimal_rows("b")
+    plain = load_pattern_csv(_write_rows(tmp_path, rows, "plain.csv"))
+    spaced = load_pattern_csv(
+        _write_rows(tmp_path, ["", *rows[:3], "", "", *rows[3:], ""], "spaced.csv")
+    )
+    assert spaced.feeds == plain.feeds
+    assert spaced.gains.tobytes() == plain.gains.tobytes()
+    assert spaced.grid.same_directions(plain.grid)
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("a,90.0,0.0,1.0,0.5,0.0,-1.0", "duplicate direction"),
+        ("a,0.0,90.0,1.0,0.5,0.0,-1.0", "conflicting pole samples"),
+    ],
+)
+def test_merge_errors_count_blank_rows(tmp_path, extra, message):
+    rows = _minimal_rows()
+    rows[2:2] = ["", "", extra]
+    with pytest.raises(ParseError, match=message) as err:
+        load_pattern_csv(_write_rows(tmp_path, rows))
+    assert err.value.row == 6
+
+
+def test_duplicate_reported_before_later_bad_row(tmp_path):
+    rows = _minimal_rows() + ["a,90.0,0.0,1.0,0.0,0.0,0.0", "a,90.0,90.0,x,0,0,0"]
+    with pytest.raises(ParseError, match="duplicate direction") as err:
+        load_pattern_csv(_write_rows(tmp_path, rows))
+    assert err.value.row == 6
+
+
+@pytest.mark.parametrize("row", ["# a comment", "   "])
+def test_comment_and_whitespace_rows_rejected(tmp_path, row):
+    rows = _minimal_rows()
+    rows.insert(1, row)
+    with pytest.raises(ParseError) as err:
+        load_pattern_csv(_write_rows(tmp_path, rows))
+    assert err.value.row == 3
+
+
+def test_underscore_digits_accepted(tmp_path):
+    rows = _minimal_rows()
+    rows[1] = "a,90.0,0.0,1_0,0.5,0.0,-1.0"
+    loaded = load_pattern_csv(_write_rows(tmp_path, rows))
+    assert loaded.sample("a", Direction(90.0, 0.0)).g_theta == 10.0 + 0.5j
+
+
+def test_header_only_file_has_no_samples_and_no_warning(tmp_path):
+    path = tmp_path / "patterns.csv"
+    path.write_text(HEADER + "\n\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match="no samples"):
+            load_pattern_csv(path)
+
+
+def test_direction_off_its_key_is_missing(tmp_path):
+    # 9e-10 from the lattice passes the lattice check, but its 9-decimal
+    # key is not the grid direction's
+    rows = _minimal_rows()
+    rows[1] = "a,90.0,9e-10,1.0,0.5,0.0,-1.0"
+    with pytest.raises(ParseError, match="missing direction theta=90.0 phi=0.0"):
+        load_pattern_csv(_write_rows(tmp_path, rows))
