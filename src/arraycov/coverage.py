@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ParseError
 from .grid import SphericalGrid, regular_ring_structure
-from .ioutil import format_float
+from .ioutil import csv_rows, format_float
 from .kernels import synth_max_accumulate
 from .pattern import ElementPatternSet
 from .synth import SynthesisPlan, enumerate_weights
@@ -239,7 +239,7 @@ def save_cdf_csv(result: CoverageResult, path) -> None:
 def load_cdf_csv(path) -> CoverageResult:
     gains, cdf = [], []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv_rows(fh, path)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != CDF_CSV_HEADER:
             raise ParseError(

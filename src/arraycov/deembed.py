@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import EstimationError, ParseError
 from .grid import Direction
-from .ioutil import format_float
+from .ioutil import csv_rows, format_float
 from .pattern import ElementPatternSet
 
 DEFAULT_WINDOW_HALFWIDTH_DEG = 60.0
@@ -145,7 +145,7 @@ def load_loss_csv(path) -> PortLossTable:
     losses = {}
     halfwidths = {}
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv_rows(fh, path)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != LOSS_CSV_HEADER:
             raise ParseError(

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError
+from .ioutil import csv_rows, format_float
 
 FULL_SPHERE_SR = 4.0 * math.pi
 
@@ -183,7 +184,8 @@ def make_regular_grid(theta_step_deg, phi_step_deg) -> SphericalGrid:
     # the bytes of the coverage CDF
     ring_thetas, ring_sizes, ring_weights = [], [], []
     for i in range(n_theta + 1):
-        theta = i * theta_step
+        # n_theta * (180 / n_theta) can round below 180 (n_theta = 39)
+        theta = 180.0 if i == n_theta else i * theta_step
         lo = max(0.0, theta - theta_step / 2.0)
         hi = min(180.0, theta + theta_step / 2.0)
         size = 1 if _is_pole(theta) else n_phi
@@ -280,10 +282,11 @@ def detect_regular_steps(theta_deg, phi_deg):
     thetas, ring = np.unique(theta_deg, return_inverse=True)
     if thetas.size < 3 or thetas[0] != 0.0 or thetas[-1] != 180.0:
         return None
-    steps = np.diff(thetas)
-    if not np.allclose(steps, steps[0], rtol=0.0, atol=1e-9):
-        return None
+    # against the lattice, not ring to ring: keys rounded to 9 decimals
+    # put neighbouring gaps up to 2e-9 apart
     theta_step = 180.0 / (thetas.size - 1)
+    if not np.allclose(thetas, np.arange(thetas.size) * theta_step, rtol=0.0, atol=1e-9):
+        return None
 
     # one sample per pole; the rings between carry 360/phi_step samples each
     sizes = np.bincount(ring)
@@ -306,8 +309,6 @@ GRID_CSV_HEADER = ["theta_deg", "phi_deg", "weight_sr"]
 
 
 def save_grid_csv(grid: SphericalGrid, path) -> None:
-    from .ioutil import format_float
-
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(GRID_CSV_HEADER)
@@ -325,7 +326,7 @@ def load_grid_csv(path) -> SphericalGrid:
     """Read a grid CSV (theta_deg, phi_deg, weight_sr with header)."""
     thetas, phis, weights = [], [], []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv_rows(fh, path)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != GRID_CSV_HEADER:
             raise ParseError(

@@ -1,19 +1,30 @@
-"""Hot numeric kernels with numba and pure-numpy implementations.
+"""The fused synthesize-and-maximize kernel.
 
-The only loop that dominates runtime in this package is the fused
+The only loop that dominates runtime in this package is the reduction
 "synthesize every weight vector and keep the per-direction running
-maximum power" reduction (full-scale workload: 2048 realizations x
-6446 directions). Both implementations are exposed for the benchmark;
-:func:`synth_max_accumulate` dispatches on :data:`arraycov.accel.USE_NUMBA`.
+maximum power" (full-scale workload: 2048 realizations x 6446
+directions). :func:`synth_max_accumulate` finds each direction's winner
+in two steps:
 
-Ties are broken toward the lowest realization index in both paths.
+1. **Select.** Summed over both polarizations, the power of weight
+   vector w at direction d is the Hermitian form ``w^H R_d w`` with
+   ``R_d[m, n] = sum_pol g_m conj(g_n)``. That is one real GEMM,
+   ``F (n_w x N^2) @ A (N^2 x n_dir)``, with no complex fields and no
+   magnitudes to take. It shortlists, per direction, the rows whose
+   form lies within a rounding margin of the maximum.
+2. **Recompute.** The shortlisted rows' fields are synthesized exactly
+   as the chunked reference computes them (same zgemm call shapes, same
+   ``|f0|**2 + |f1|**2``), and only those exact powers decide.
+
+So the result is bit for bit that of synthesizing every weight in
+chunks of ``_CHUNK`` rows and folding in each chunk's argmax. Ties are
+broken toward the lowest realization index.
 """
 
 import numpy as np
 
-from .accel import USE_NUMBA, njit
-
-# numpy path materializes at most CHUNK x n_directions x 2 complex samples
+# rows per select block and per exact synthesis call; the exact calls
+# must keep this shape (see _exact_powers)
 _CHUNK = 128
 
 
@@ -29,42 +40,78 @@ def synthesize_fields(elem_gains, phasors):
     return out.reshape(phasors.shape[0], n_dir, 2)
 
 
-def _synth_max_numpy(elem_gains, phasors, best_power, best_index, index_offset):
-    n_weights = phasors.shape[0]
-    for start in range(0, n_weights, _CHUNK):
-        block = synthesize_fields(elem_gains, phasors[start : start + _CHUNK])
-        power = np.abs(block[:, :, 0]) ** 2 + np.abs(block[:, :, 1]) ** 2
-        local_best = np.argmax(power, axis=0)
-        local_power = power[local_best, np.arange(power.shape[1])]
-        better = local_power > best_power
-        best_power[better] = local_power[better]
-        best_index[better] = index_offset + start + local_best[better]
+def _form_factors(elem_gains, phasors):
+    """F (n_w, N^2) and A (N^2, n_dir) with (F @ A)[k, d] = P(w_k, d).
+
+    With c_mn = w_m conj(w_n), P = sum_m |w_m|^2 R_mm
+    + sum_{m<n} (Re c_mn 2 Re R_mn - Im c_mn 2 Im R_mn).
+    """
+    m, n = np.triu_indices(phasors.shape[1], k=1)
+    cross_w = phasors[:, m] * phasors[:, n].conj()
+    factors = np.concatenate(
+        [phasors.real**2 + phasors.imag**2, cross_w.real, cross_w.imag], axis=1
+    )
+    diag = (elem_gains.real**2 + elem_gains.imag**2).sum(axis=2)
+    cross_r = (elem_gains[m] * elem_gains[n].conj()).sum(axis=2)
+    form = np.concatenate([diag, 2.0 * cross_r.real, -2.0 * cross_r.imag])
+    return factors, np.ascontiguousarray(form), diag
 
 
-@njit(cache=True)
-def _synth_max_numba(elem_gains, phasors, best_power, best_index, index_offset):
-    n_weights, n_el = phasors.shape
-    n_dir = elem_gains.shape[1]
-    for d in range(n_dir):
-        run_power = best_power[d]
-        run_index = best_index[d]
-        for k in range(n_weights):
-            acc_t = 0.0 + 0.0j
-            acc_p = 0.0 + 0.0j
-            for n in range(n_el):
-                acc_t += phasors[k, n] * elem_gains[n, d, 0]
-                acc_p += phasors[k, n] * elem_gains[n, d, 1]
-            p = (
-                acc_t.real * acc_t.real
-                + acc_t.imag * acc_t.imag
-                + acc_p.real * acc_p.real
-                + acc_p.imag * acc_p.imag
-            )
-            if p > run_power:
-                run_power = p
-                run_index = index_offset + k
-        best_power[d] = run_power
-        best_index[d] = run_index
+def _shortlist(factors, form, best_power, margin):
+    """(row, direction) pairs whose form is within 2*margin of the maximum.
+
+    The first pass keeps each block's per-direction maximum where it
+    is near the running one. The second evaluates the form again only
+    in the blocks and directions still near the final maximum, which
+    is about one block's worth in all.
+    """
+    top = np.full(form.shape[1], -np.inf)
+    near_blocks = []
+    for start in range(0, factors.shape[0], _CHUNK):
+        block_max = (factors[start : start + _CHUNK] @ form).max(axis=0)
+        np.maximum(top, block_max, out=top)
+        (near,) = np.nonzero(block_max >= np.maximum(top, best_power) - 2.0 * margin)
+        near_blocks.append((start, near, block_max[near]))
+    floor = np.maximum(top, best_power) - 2.0 * margin
+    rows, dirs = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for start, near, block_max in near_blocks:
+        near = near[block_max >= floor[near]]
+        if near.size:
+            q = factors[start : start + _CHUNK] @ form[:, near]
+            r, c = np.nonzero(q >= floor[near])
+            rows.append(start + r)
+            dirs.append(near[c])
+    return np.concatenate(rows), np.concatenate(dirs)
+
+
+def _exact_powers(elem_gains, phasors, rows, dirs):
+    """The chunked reference's power bits at each (row, direction) pair.
+
+    A zgemm output element depends on its row of the left operand, the
+    whole right operand and the call shape, but not on the row's
+    position in the call. So rows of full chunks are synthesized 128 to
+    a call (the last call padded by repeating rows), and rows of a
+    trailing partial chunk in the one call of that chunk's size.
+    """
+    n_w = phasors.shape[0]
+    n_full = n_w // _CHUNK * _CHUNK
+    packed = np.unique(rows[rows < n_full])
+    calls = [(packed[s : s + _CHUNK], _CHUNK) for s in range(0, packed.size, _CHUNK)]
+    if (rows >= n_full).any():
+        calls.append((np.arange(n_full, n_w), n_w - n_full))
+    power = np.empty(rows.size)
+    slot = np.empty(n_w, dtype=np.intp)
+    for take, size in calls:
+        slot.fill(-1)
+        slot[take] = np.arange(take.size)
+        pos = slot[rows]
+        hit = pos >= 0
+        # bind only the gathered pairs, so one call's fields are alive at a time
+        pair = synthesize_fields(elem_gains, phasors[np.resize(take, size)])[
+            pos[hit], dirs[hit]
+        ]
+        power[hit] = np.abs(pair[:, 0]) ** 2 + np.abs(pair[:, 1]) ** 2
+    return power
 
 
 def synth_max_accumulate(elem_gains, phasors, best_power, best_index, index_offset):
@@ -76,7 +123,41 @@ def synth_max_accumulate(elem_gains, phasors, best_power, best_index, index_offs
     """
     elem_gains = np.ascontiguousarray(elem_gains, dtype=np.complex128)
     phasors = np.ascontiguousarray(phasors, dtype=np.complex128)
-    if USE_NUMBA:
-        _synth_max_numba(elem_gains, phasors, best_power, best_index, index_offset)
-    else:
-        _synth_max_numpy(elem_gains, phasors, best_power, best_index, index_offset)
+    n_w, n_el = phasors.shape
+    if not n_w:
+        return
+    # where every gain is zero, every power is exactly 0 and row 0 wins;
+    # settled here, as all n_w rows would tie there on the shortlist
+    dead = ~elem_gains.any(axis=(0, 2))
+    settle = dead & (best_power < 0.0)
+    best_power[settle] = 0.0
+    best_index[settle] = index_offset
+    (live,) = np.nonzero(~dead)
+
+    factors, form, diag = _form_factors(elem_gains[:, live], phasors)
+    # Rounding margin, absolute per direction. Let s = max|w| * sum_m
+    # sqrt(R_mm). The absolute values of the form's N^2 terms sum to at
+    # most s^2, and so do the squared magnitude sums of the two fields
+    # (Cauchy-Schwarz, Minkowski). So in any summation order the form is
+    # within about (N^2 + 14) u s^2 of w^H R w, and the exact power
+    # within about (3 N + 10) u s^2 (u = eps / 2): 16 N^2 eps s^2 bounds
+    # |form - power| for every N >= 1. The tiny term covers results below
+    # the normal range, where each operation may be off by u * tiny
+    # absolute, scaled by up to max|w|^2. The winner's power is the
+    # largest, so its form is at most 2 * margin below the largest form.
+    w_max = np.abs(phasors).max()
+    scale = w_max * np.sqrt(diag).sum(axis=0)
+    fp = np.finfo(np.float64)
+    margin = 16.0 * n_el**2 * fp.eps * (scale**2 + fp.tiny * (1.0 + w_max**2))
+    rows, dirs = _shortlist(factors, form, best_power[live], margin)
+    dirs = live[dirs]
+    power = _exact_powers(elem_gains, phasors, rows, dirs)
+    # per direction: the largest exact power, lowest row among equals
+    order = np.lexsort((rows, -power, dirs))
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = dirs[order[1:]] != dirs[order[:-1]]
+    win = order[first]
+    better = power[win] > best_power[dirs[win]]
+    win = win[better]
+    best_power[dirs[win]] = power[win]
+    best_index[dirs[win]] = index_offset + rows[win]

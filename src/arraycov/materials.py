@@ -9,7 +9,6 @@ the substrate outward.
 """
 
 import cmath
-import csv
 import math
 import os
 from dataclasses import dataclass
@@ -18,6 +17,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import MaterialRangeError, ParseError
+from .ioutil import csv_rows
 
 # speed of light in mm/s; frequencies are GHz, lengths mm
 C_MM_PER_S = 299_792_458_000.0
@@ -211,7 +211,7 @@ def load_material_csv(path, name=None) -> MaterialRecord:
         name = os.path.splitext(os.path.basename(os.fspath(path)))[0]
     freqs, er, ei = [], [], []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv_rows(fh, path)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != MATERIAL_CSV_HEADER:
             raise ParseError(

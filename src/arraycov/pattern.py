@@ -22,7 +22,7 @@ from .grid import (
     make_regular_grid,
     regular_ring_structure,
 )
-from .ioutil import format_float, read_json, write_json
+from .ioutil import csv_rows, format_float, read_json, write_json
 
 DEFAULT_FREQUENCY_GHZ = 28.0
 DEFAULT_CONVENTION = "realized-gain-embedded"
@@ -133,7 +133,7 @@ def _parse_pattern_rows(path):
     accept what that pass is stricter about, or to locate a row.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv_rows(fh, path)
         _check_header(next(reader, None), path)
         for lineno, rec in enumerate(reader, start=2):
             if not rec:
@@ -195,12 +195,12 @@ def _read_table(path):
     rows before it are returned.
     """
     records = None
-    with open(path, newline="") as fh:
-        _check_header(next(csv.reader(fh), None), path)
-        # loadtxt warns on a file without data; such a file goes the slow way
-        first = next((line for line in fh if line.strip("\r\n")), None)
-        if first is not None:
-            try:
+    try:
+        with open(path, newline="") as fh:
+            _check_header(next(csv.reader(fh), None), path)
+            # loadtxt warns on a file without data; such a file goes the slow way
+            first = next((line for line in fh if line.strip("\r\n")), None)
+            if first is not None:
                 records = np.loadtxt(
                     _lines_from(first, fh),
                     delimiter=",",
@@ -209,8 +209,9 @@ def _read_table(path):
                     dtype=[("feed", object), ("v", "f8", (6,))],
                     ndmin=1,
                 )
-            except ValueError:
-                pass
+    except (ValueError, csv.Error):
+        # UnicodeDecodeError is a ValueError; the row-by-row read names the row
+        pass
     if records is not None:
         feeds, feed_id = _number_feeds(records["feed"])
         table = records["v"].copy()
@@ -227,7 +228,7 @@ def _read_table(path):
     rows, error = [], None
     try:
         rows.extend(_parse_pattern_rows(path))
-    except (ParseError, csv.Error, UnicodeDecodeError) as exc:
+    except ParseError as exc:
         error = exc
     feeds, feed_id = _number_feeds(np.array([row[1] for row in rows], dtype=object))
     table = np.array(

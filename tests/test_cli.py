@@ -8,9 +8,18 @@ import numpy as np
 import pytest
 
 from arraycov.cli import main
-from arraycov.grid import make_regular_grid
+from arraycov.coverage import CDF_CSV_HEADER, load_cdf_csv
+from arraycov.deembed import LOSS_CSV_HEADER, load_loss_csv
+from arraycov.errors import ParseError
+from arraycov.grid import GRID_CSV_HEADER, load_grid_csv, make_regular_grid
 from arraycov.ioutil import write_json
-from arraycov.pattern import ElementPatternSet, save_pattern_csv
+from arraycov.materials import MATERIAL_CSV_HEADER, load_material_csv
+from arraycov.pattern import (
+    PATTERN_CSV_HEADER,
+    ElementPatternSet,
+    load_pattern_csv,
+    save_pattern_csv,
+)
 
 GRID = make_regular_grid(30.0, 90.0)
 
@@ -157,6 +166,54 @@ def test_coverage_is_deterministic(tmp_path):
     sa = json.loads((out_a / "summary.json").read_text())
     sb = json.loads((out_b / "summary.json").read_text())
     assert sa == sb
+
+
+def test_coverage_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # c10's layout at a coarser grid: 8 feeds, 4 overlapping sub-arrays, 3 bits
+    grid = make_regular_grid(2.0, 10.0)
+    feeds = tuple(f"f{i}" for i in range(8))
+    rng = np.random.default_rng(100)
+    shape = (len(feeds), len(grid), 2)
+    pset = ElementPatternSet(
+        grid, feeds, rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    )
+    groups = [(0, 1, 2, 3), (4, 5, 6, 7), (0, 2, 4, 6), (1, 3, 5, 7)]
+    loss_path = tmp_path / "losses.csv"
+    loss_path.write_text(
+        "feed,loss_db,window_halfwidth_deg\n"
+        + "".join(f"{f},{10.0 + i / 4},60.0\n" for i, f in enumerate(feeds))
+    )
+    base = {
+        "pattern": pattern_file(tmp_path, pset),
+        "loss_table": str(loss_path),
+        "plan": {
+            "bits": 3,
+            "sub_arrays": [
+                {"label": f"s{i}", "feeds": [feeds[j] for j in g]}
+                for i, g in enumerate(groups)
+            ],
+        },
+        "cut_thetas_deg": [90.0],
+    }
+    default = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    envs = {"one": {**default, "OPENBLAS_NUM_THREADS": "1"}, "default": default}
+    outputs = []
+    for tag, env in envs.items():
+        out = tmp_path / tag
+        cfg = write_config(tmp_path, {**base, "output_dir": str(out)}, name=f"{tag}.json")
+        proc = subprocess.run(
+            [sys.executable, "-m", "arraycov.cli", "coverage", "--config", cfg],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    one, default = outputs
+    assert sorted(one) == sorted(default)
+    assert "gain_map.csv" in one and "cut_theta_90.svg" in one
+    for name in one:
+        assert one[name] == default[name], f"{name} differs between thread counts"
 
 
 def test_coverage_applies_loss_table(tmp_path):
@@ -356,6 +413,73 @@ def test_non_numeric_pattern_cell_exits_3_naming_row(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "non-numeric value" in err
     assert "row 5" in err
+
+
+def test_non_utf8_pattern_or_sidecar_exits_3(tmp_path, capsys):
+    path = tmp_path / "pattern.csv"
+    save_pattern_csv(smooth_pattern(["f0"], seed=3), path)
+    lines = path.read_bytes().split(b"\n")
+    lines[5] = lines[5].replace(b"f0", b"f\xff0", 1)
+    path.write_bytes(b"\n".join(lines))
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path,
+        {
+            "pattern": str(path),
+            "plan": {"bits": 2, "sub_arrays": [{"label": "s", "feeds": ["f0"]}]},
+            "output_dir": str(out),
+        },
+    )
+    assert main(["coverage", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "parse error: not utf-8 text" in err
+    assert "row 6" in err
+    assert not out.exists()
+
+    save_pattern_csv(smooth_pattern(["f0"], seed=3), path)
+    sidecar = path.with_suffix(".json")
+    sidecar.write_bytes(sidecar.read_bytes().replace(b"28", b"\xff", 1))
+    assert main(["coverage", "--config", cfg]) == 3
+    assert "parse error: invalid JSON" in capsys.readouterr().err
+
+
+def test_oversized_loss_table_field_exits_3_naming_row(tmp_path, capsys):
+    loss_path = tmp_path / "losses.csv"
+    loss_path.write_text(
+        "feed,loss_db,window_halfwidth_deg\n"
+        "f0,1.0,60.0\n"
+        f"\"{'x' * 140000}\",1.0,60.0\n"
+    )
+    out = tmp_path / "out"
+    cfg = coverage_config(tmp_path, out, extra={"loss_table": str(loss_path)})
+    assert main(["coverage", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "parse error: malformed CSV: field larger than field limit" in err
+    assert "row 3" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "reader, header",
+    [
+        (load_pattern_csv, ",".join(PATTERN_CSV_HEADER)),
+        (load_loss_csv, ",".join(LOSS_CSV_HEADER)),
+        (load_grid_csv, ",".join(GRID_CSV_HEADER)),
+        (load_cdf_csv, ",".join(CDF_CSV_HEADER)),
+        (load_material_csv, ",".join(MATERIAL_CSV_HEADER)),
+    ],
+)
+def test_every_csv_reader_raises_parse_error(tmp_path, reader, header):
+    undecodable = tmp_path / "undecodable.csv"
+    undecodable.write_bytes(header.encode() + b"\n1,2,3\n\xff\xfe,1\n")
+    with pytest.raises(ParseError) as info:
+        reader(undecodable)
+    assert info.value.row == 3
+    oversized = tmp_path / "oversized.csv"
+    oversized.write_text(f"{header}\n\"{'9' * 140000}\",1\n")
+    with pytest.raises(ParseError) as info:
+        reader(oversized)
+    assert info.value.row == 2
 
 
 def test_empty_beam_window_exits_4(tmp_path):

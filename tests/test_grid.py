@@ -17,6 +17,7 @@ from arraycov.grid import (
     save_grid_csv,
     solid_angle_weights,
 )
+from arraycov.pattern import ElementPatternSet, load_pattern_csv, save_pattern_csv
 
 FULL_SPHERE = 4.0 * math.pi
 
@@ -74,6 +75,42 @@ def test_regular_grid_pole_cap_weight():
     cap = 2.0 * math.pi * (1.0 - math.cos(math.radians(5.0)))
     i = int(np.nonzero(grid.theta_deg == 0.0)[0][0])
     assert grid.weight_sr[i] == pytest.approx(cap, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_theta", [39, 78, 156])
+def test_regular_grid_south_pole_when_steps_round_short(n_theta):
+    # n * (180 / n) rounds below 180 for these counts
+    assert n_theta * (180.0 / n_theta) < 180.0
+    grid = make_regular_grid(180.0 / n_theta, 90.0)
+    assert np.count_nonzero(grid.theta_deg == 180.0) == 1
+    assert grid.theta_deg.max() == 180.0
+    assert len(grid) == 2 + (n_theta - 1) * 4
+    cap = 2.0 * math.pi * (1.0 - math.cos(math.radians(90.0 / n_theta)))
+    assert grid.weight_sr[-1] == pytest.approx(cap, rel=1e-9)
+
+
+# 180/7 has no 9-decimal form, so its direction keys step unevenly;
+# 39, 78 and 156 also put n * (180 / n) below 180
+@pytest.mark.parametrize("n_theta", [7, 39, 78, 156])
+def test_regular_grid_csv_round_trips_at_inexact_steps(tmp_path, n_theta):
+    grid = make_regular_grid(180.0 / n_theta, 90.0)
+    grid_path = tmp_path / "grid.csv"
+    save_grid_csv(grid, grid_path)
+    loaded = load_grid_csv(grid_path)
+    assert loaded.kind == "regular"
+    assert loaded.same_directions(grid)
+    assert loaded.weight_sr.tobytes() == grid.weight_sr.tobytes()
+
+    rng = np.random.default_rng(n_theta)
+    shape = (1, len(grid), 2)
+    pset = ElementPatternSet(
+        grid, ("f0",), rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    )
+    pattern_path = tmp_path / "pattern.csv"
+    save_pattern_csv(pset, pattern_path)
+    back = load_pattern_csv(pattern_path)
+    assert back.grid.same_directions(grid)
+    assert back.gains.tobytes() == pset.gains.tobytes()
 
 
 def test_regular_grid_rejects_non_dividing_steps():

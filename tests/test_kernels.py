@@ -1,17 +1,28 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-from arraycov import accel
-from arraycov.kernels import (
-    _synth_max_numba,
-    _synth_max_numpy,
-    synth_max_accumulate,
-    synthesize_fields,
-)
+from arraycov import kernels
+from arraycov.kernels import synth_max_accumulate, synthesize_fields
+
+# chunk size of the reference below
+_CHUNK = 128
+
+
+def reference_synth_max(elem_gains, phasors, best_power, best_index, index_offset):
+    """The chunked synthesize-and-max loop that the kernel must reproduce.
+
+    Synthesizes every weight vector in chunks of _CHUNK rows and folds in
+    each chunk's argmax; kept as the bit-for-bit reference.
+    """
+    n_weights = phasors.shape[0]
+    for start in range(0, n_weights, _CHUNK):
+        block = synthesize_fields(elem_gains, phasors[start : start + _CHUNK])
+        power = np.abs(block[:, :, 0]) ** 2 + np.abs(block[:, :, 1]) ** 2
+        local_best = np.argmax(power, axis=0)
+        local_power = power[local_best, np.arange(power.shape[1])]
+        better = local_power > best_power
+        best_power[better] = local_power[better]
+        best_index[better] = index_offset + start + local_best[better]
 
 
 def random_problem(n_el, n_dir, n_weights, seed):
@@ -26,6 +37,18 @@ def fresh_state(n_dir):
     return np.full(n_dir, -1.0), np.zeros(n_dir, dtype=np.int64)
 
 
+def lattice_phasors(n_el, n_weights, bits, rng):
+    codes = rng.integers(0, 2**bits, size=(n_weights, n_el))
+    codes[:, 0] = 0
+    return np.exp(1j * np.radians(codes * 360.0 / 2**bits)) / np.sqrt(n_el)
+
+
+def assert_same_bits(actual, expected):
+    (p_a, i_a), (p_e, i_e) = actual, expected
+    np.testing.assert_array_equal(p_a.view(np.int64), p_e.view(np.int64))
+    np.testing.assert_array_equal(i_a, i_e)
+
+
 def test_synthesize_fields_matches_einsum():
     gains, phasors = random_problem(8, 37, 19, seed=0)
     out = synthesize_fields(gains, phasors)
@@ -34,24 +57,95 @@ def test_synthesize_fields_matches_einsum():
     assert out.shape == (19, 37, 2)
 
 
-def test_numpy_and_numba_paths_agree():
-    if not accel.HAS_NUMBA:
-        pytest.skip("numba not installed")
-    gains, phasors = random_problem(8, 211, 300, seed=1)
-    p_np, i_np = fresh_state(211)
-    p_nb, i_nb = fresh_state(211)
-    _synth_max_numpy(gains, phasors, p_np, i_np, 0)
-    _synth_max_numba(gains, phasors, p_nb, i_nb, 0)
-    np.testing.assert_allclose(p_nb, p_np, rtol=1e-12)
-    # random data is tie-free, so the argmax must agree exactly
-    np.testing.assert_array_equal(i_nb, i_np)
+@pytest.mark.parametrize("kind", ["lattice", "amplitudes"])
+@pytest.mark.parametrize("n_weights", [1, 2, 127, 128, 129, 517])
+@pytest.mark.parametrize("n_el", [1, 2, 3, 4, 5])
+def test_matches_reference_bit_for_bit(n_el, n_weights, kind):
+    n_dir = 61
+    rng = np.random.default_rng(1000 * n_el + n_weights)
+    gains, _ = random_problem(n_el, n_dir, 0, seed=n_el + n_weights)
+    gains[:, 7] = 0.0  # an all-zero direction ties every row
+    if kind == "lattice":
+        phasors = lattice_phasors(n_el, n_weights, 3, rng)
+    else:
+        phasors = rng.uniform(0.05, 2.0, size=(n_weights, n_el)) * np.exp(
+            1j * rng.uniform(0.0, 2 * np.pi, size=(n_weights, n_el))
+        )
+    # duplicated rows, also across chunks, make exact ties
+    dup = rng.integers(0, n_weights, size=(n_weights // 4, 2))
+    phasors[dup[:, 1]] = phasors[dup[:, 0]]
+    phasors[-1] = phasors[0]
+    # the second call repeats a row of the first, so its ties keep the first index
+    second = np.concatenate([phasors[n_weights // 2 :], phasors[:1]])
+    # 1e-160 puts the powers below the normal range
+    for scale in (1e-160, 1e-30, 1.0, 1e30):
+        states = fresh_state(n_dir), fresh_state(n_dir)
+        for fn, (best_power, best_index) in zip(
+            (synth_max_accumulate, reference_synth_max), states
+        ):
+            fn(gains * scale, phasors, best_power, best_index, 0)
+            fn(gains * scale, second, best_power, best_index, n_weights + 1000)
+        assert_same_bits(*states)
+
+
+def test_matches_reference_on_full_scale_codebook():
+    # 4 feeds at 3 bits over the 1 deg x 10 deg grid's direction count
+    rng = np.random.default_rng(100)
+    gains, _ = random_problem(4, 6446, 0, seed=100)
+    phasors = lattice_phasors(4, 512, 3, rng)
+    states = fresh_state(6446), fresh_state(6446)
+    for fn, (best_power, best_index) in zip(
+        (synth_max_accumulate, reference_synth_max), states
+    ):
+        fn(gains, phasors, best_power, best_index, 0)
+    assert_same_bits(*states)
+
+
+def test_lone_winner_recomputed_in_a_full_size_call():
+    # one dominant row wins every direction; a 1-row (gemv) recompute
+    # would round differently from its 128-row chunk
+    gains, phasors = random_problem(5, 97, 257, seed=8)
+    phasors[np.arange(257) != 77] *= 1e-6
+    for n_weights in (256, 257):
+        states = fresh_state(97), fresh_state(97)
+        for fn, (best_power, best_index) in zip(
+            (synth_max_accumulate, reference_synth_max), states
+        ):
+            fn(gains, phasors[:n_weights], best_power, best_index, 0)
+        assert np.all(states[1][1] == 77)
+        assert_same_bits(*states)
+
+
+def test_all_zero_directions_stay_off_the_shortlist(monkeypatch):
+    # every row ties where all gains are zero; shortlisting them all made a
+    # half-zero pattern at 4 bits take 10x the reference's memory
+    gains, phasors = random_problem(4, 40, 600, seed=9)
+    gains[:, :30] = 0.0
+    shortlisted = []
+    shortlist = kernels._shortlist
+
+    def recording(*args):
+        rows, dirs = shortlist(*args)
+        shortlisted.append(rows.size)
+        return rows, dirs
+
+    monkeypatch.setattr(kernels, "_shortlist", recording)
+    states = fresh_state(40), fresh_state(40)
+    for fn, (best_power, best_index) in zip(
+        (synth_max_accumulate, reference_synth_max), states
+    ):
+        fn(gains, phasors, best_power, best_index, 0)
+        fn(gains, phasors, best_power, best_index, 600)
+    assert_same_bits(*states)
+    assert np.all(states[0][1][:30] == 0)
+    assert max(shortlisted) < 600
 
 
 def test_chunked_numpy_path_spans_boundaries():
     # n_weights > chunk size exercises the cross-chunk running maximum
     gains, phasors = random_problem(4, 53, 5 * 128 + 17, seed=2)
     best_power, best_index = fresh_state(53)
-    _synth_max_numpy(gains, phasors, best_power, best_index, 0)
+    synth_max_accumulate(gains, phasors, best_power, best_index, 0)
     fields = synthesize_fields(gains, phasors)
     power = np.abs(fields[:, :, 0]) ** 2 + np.abs(fields[:, :, 1]) ** 2
     np.testing.assert_allclose(best_power, power.max(axis=0), rtol=1e-13)
@@ -74,12 +168,9 @@ def test_accumulation_over_several_calls():
 def test_exact_ties_resolve_to_lowest_index():
     gains, phasors = random_problem(4, 29, 8, seed=5)
     tied = np.concatenate([phasors, phasors[:3]], axis=0)  # rows 8..10 repeat 0..2
-    for fn in (_synth_max_numpy,) + (
-        (_synth_max_numba,) if accel.HAS_NUMBA else ()
-    ):
-        best_power, best_index = fresh_state(29)
-        fn(gains, tied, best_power, best_index, 0)
-        assert np.all(best_index < 8)
+    best_power, best_index = fresh_state(29)
+    synth_max_accumulate(gains, tied, best_power, best_index, 0)
+    assert np.all(best_index < 8)
 
 
 def test_index_offset_applied():
@@ -90,42 +181,3 @@ def test_index_offset_applied():
     synth_max_accumulate(gains, phasors, offset_p, offset_i, 1000)
     np.testing.assert_array_equal(offset_i, plain_i + 1000)
     np.testing.assert_array_equal(offset_p, plain_p)
-
-
-def test_env_flag_forces_numpy_path():
-    code = (
-        "import arraycov.accel as a\n"
-        "print(a.NUMBA_DISABLED, a.USE_NUMBA)\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "ARRAYCOV_DISABLE_NUMBA": "1"},
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["True", "False"]
-
-
-def test_disabled_path_still_correct():
-    code = (
-        "import numpy as np\n"
-        "from arraycov.kernels import synth_max_accumulate, synthesize_fields\n"
-        "rng = np.random.default_rng(7)\n"
-        "gains = (rng.normal(size=(4, 40, 2)) + 1j*rng.normal(size=(4, 40, 2)))\n"
-        "ph = np.exp(1j*rng.uniform(0, 6.28, size=(32, 4))) / 2.0\n"
-        "bp = np.full(40, -1.0); bi = np.zeros(40, dtype=np.int64)\n"
-        "synth_max_accumulate(gains, ph, bp, bi, 0)\n"
-        "power = (np.abs(synthesize_fields(gains, ph))**2).sum(axis=2)\n"
-        "assert np.allclose(bp, power.max(axis=0), rtol=1e-12)\n"
-        "assert np.array_equal(bi, power.argmax(axis=0))\n"
-        "print('ok')\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "ARRAYCOV_DISABLE_NUMBA": "1"},
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "ok"
