@@ -18,7 +18,6 @@ from .coverage import (
     load_cdf_csv,
     mae_per_theta_cut,
     max_gain_over_plan,
-    max_realized_gain,
     percentile_gain,
     save_cdf_csv,
     save_gainmap_csv,
@@ -46,7 +45,6 @@ from .grid import (
     make_regular_grid,
     make_uniform_sphere_grid,
     save_grid_csv,
-    solid_angle_weights,
 )
 from .materials import (
     AIR,
@@ -70,7 +68,6 @@ from .pattern import (
     save_pattern_csv,
 )
 from .synth import (
-    Realization,
     SubArraySpec,
     SynthesisPlan,
     SynthesizedPattern,
@@ -78,7 +75,6 @@ from .synth import (
     enumerate_weights,
     plan_from_config,
     synthesize,
-    synthesize_all,
 )
 
 __version__ = "0.1.0"
@@ -101,7 +97,6 @@ __all__ = [
     "ParseError",
     "PolarimetricSample",
     "PortLossTable",
-    "Realization",
     "SphericalGrid",
     "SubArraySpec",
     "SynthesisPlan",
@@ -123,7 +118,6 @@ __all__ = [
     "make_regular_grid",
     "make_uniform_sphere_grid",
     "max_gain_over_plan",
-    "max_realized_gain",
     "penetration_depth_mm",
     "percentile_gain",
     "permittivity_at",
@@ -137,7 +131,5 @@ __all__ = [
     "save_loss_csv",
     "save_pattern_csv",
     "skin_thickness_delta",
-    "solid_angle_weights",
     "synthesize",
-    "synthesize_all",
 ]

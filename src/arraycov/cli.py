@@ -34,6 +34,7 @@ from .grid import (
     save_grid_csv,
 )
 from .ioutil import format_float, write_json
+from .kernels import synthesize_fields
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -239,13 +240,6 @@ def _plan(config, pattern_set):
 def cmd_synth(config) -> int:
     pattern_set = _load_pattern_input(config)
     plan = _plan(config, pattern_set)
-    for spec in plan.sub_arrays:
-        count = synth.weight_count(spec.size, plan.bits)
-        if count > synth.MAX_WEIGHTS:
-            raise CapacityError(
-                f"sub-array {spec.label!r} would enumerate {count} weight vectors, "
-                f"over the cap of {synth.MAX_WEIGHTS}"
-            )
     out = _output_dir(config)
     write_json(
         os.path.join(out, "realizations.json"),
@@ -274,9 +268,9 @@ def _dump_realizations(pattern_set, plan, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["realization_id"] + pattern.PATTERN_CSV_HEADER[1:])
         for spec in plan.sub_arrays:
-            weights = synth.enumerate_weights(spec, plan.bits)
-            fields = synth.synthesize_batch(pattern_set, spec, weights)
-            for k in range(len(weights)):
+            elem = pattern_set.gains[list(spec.feed_indices)]
+            fields = synthesize_fields(elem, synth.enumerate_weights(spec, plan.bits))
+            for k in range(len(fields)):
                 rid = f"{spec.label}/{k}"
                 for di in range(len(grid)):
                     g = fields[k, di]

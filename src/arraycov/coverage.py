@@ -8,7 +8,7 @@ not over-represent the poles) is the spherical coverage.
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,45 +58,22 @@ class GainMap:
             return 10.0 * np.log10(self.gain)
 
 
-def max_realized_gain(realizations) -> GainMap:
-    """Per-direction maximum power over a realization list.
-
-    Ties go to the lowest realization index. All realizations must
-    share one grid.
-    """
-    realizations = list(realizations)
-    if not realizations:
-        raise ValueError("no realizations")
-    grid = realizations[0].pattern.grid
-    best_power = np.full(len(grid), -1.0)
-    best_index = np.zeros(len(grid), dtype=np.int64)
-    for k, realization in enumerate(realizations):
-        if not realization.pattern.grid.same_directions(grid):
-            raise ValueError("realizations do not share a grid")
-        p = realization.pattern.power_gain()
-        better = p > best_power
-        best_power[better] = p[better]
-        best_index[better] = k
-    return GainMap(grid, best_power, best_index)
-
-
 def max_gain_over_plan(pattern_set: ElementPatternSet, plan: SynthesisPlan) -> GainMap:
-    """Fused synthesize-and-maximize over every realization of a plan.
+    """Per-direction maximum power over every realization of a plan.
 
-    Equivalent to max_realized_gain(synthesize_all(set, plan)) with the
-    same global indexing and tie handling, but without materializing
-    the realizations.
+    Realizations are numbered by sub-array, then by weight index in
+    enumeration order; ties go to the lowest number. No realization's
+    fields are kept.
     """
     grid = pattern_set.grid
     best_power = np.full(len(grid), -1.0)
     best_index = np.zeros(len(grid), dtype=np.int64)
     offset = 0
     for spec in plan.sub_arrays:
-        weights = enumerate_weights(spec, plan.bits)
-        phasors = np.array([w.phasors for w in weights])
+        phasors = enumerate_weights(spec, plan.bits)
         elem = pattern_set.gains[list(spec.feed_indices)]
         synth_max_accumulate(elem, phasors, best_power, best_index, offset)
-        offset += len(weights)
+        offset += len(phasors)
     return GainMap(grid, best_power, best_index)
 
 
@@ -113,7 +90,6 @@ class CoverageResult:
     cdf: np.ndarray
     weighting: str = WEIGHTING_SOLID_ANGLE
     map: GainMap | None = None
-    provenance: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         g = np.ascontiguousarray(self.gain_db, dtype=np.float64)
@@ -139,9 +115,7 @@ class CoverageResult:
         return float(self.gain_db[-1])
 
 
-def coverage_cdf(
-    gain_map: GainMap, weighting=WEIGHTING_SOLID_ANGLE, provenance=None
-) -> CoverageResult:
+def coverage_cdf(gain_map: GainMap, weighting=WEIGHTING_SOLID_ANGLE) -> CoverageResult:
     """Weighted empirical CDF of a full-sphere gain map.
 
     Solid-angle weighting (default) uses the grid weights; the
@@ -166,9 +140,7 @@ def coverage_cdf(
     w_agg = np.add.reduceat(w_sorted, start)
     cum = np.cumsum(w_agg)
     cum /= cum[-1]
-    return CoverageResult(
-        uniq, cum, weighting=weighting, map=gain_map, provenance=provenance or {}
-    )
+    return CoverageResult(uniq, cum, weighting=weighting, map=gain_map)
 
 
 def percentile_gain(result: CoverageResult, p) -> float:

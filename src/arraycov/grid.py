@@ -254,11 +254,6 @@ def make_uniform_sphere_grid(target_count) -> SphericalGrid:
     )
 
 
-def solid_angle_weights(grid: SphericalGrid) -> np.ndarray:
-    """Per-direction solid angles [sr] as stored on the grid."""
-    return grid.weight_sr.copy()
-
-
 def regular_ring_structure(grid: SphericalGrid):
     """Ring decomposition of a regular grid.
 

@@ -7,7 +7,6 @@ N=4 at 3 bits gives the 512 patterns per sub-array and 2048 total for
 the four-sub-array phone configuration.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -63,30 +62,36 @@ class WeightVector:
 
 
 def weight_count(n_elements, bits) -> int:
-    return 2 ** (bits * (n_elements - 1))
+    """Size of a sub-array's enumeration, 2^(bits*(N-1)).
+
+    Raises ValueError for bits outside [MIN_BITS, MAX_BITS] and
+    CapacityError above MAX_WEIGHTS.
+    """
+    if not (MIN_BITS <= bits <= MAX_BITS):
+        raise ValueError(f"bits must be in [{MIN_BITS}, {MAX_BITS}], got {bits}")
+    count = 2 ** (bits * (n_elements - 1))
+    if count > MAX_WEIGHTS:
+        raise CapacityError(
+            f"enumeration of {count} weight vectors exceeds the cap of {MAX_WEIGHTS}"
+        )
+    return count
 
 
-def enumerate_weights(spec: SubArraySpec, bits) -> list:
-    """All quantized weight vectors of a sub-array, lexicographic order.
+def enumerate_weights(spec: SubArraySpec, bits) -> np.ndarray:
+    """Every quantized weight vector of a sub-array as one complex
+    (n_weights, N) phasor matrix, rows in lexicographic order of the
+    trailing phases.
 
     Phases live on the {k*360/2^bits} lattice with element 0 pinned to
     phase 0 and amplitude 1/sqrt(N) on every element.
     """
     bits = int(bits)
-    if not (MIN_BITS <= bits <= MAX_BITS):
-        raise ValueError(f"bits must be in [{MIN_BITS}, {MAX_BITS}], got {bits}")
     n = spec.size
     count = weight_count(n, bits)
-    if count > MAX_WEIGHTS:
-        raise CapacityError(
-            f"enumeration of {count} weight vectors exceeds the cap of {MAX_WEIGHTS}"
-        )
-    step = 360.0 / (2**bits)
-    amplitude = 1.0 / math.sqrt(n)
-    return [
-        WeightVector((0.0,) + tuple(k * step for k in rest), amplitude)
-        for rest in itertools.product(range(2**bits), repeat=n - 1)
-    ]
+    codes = np.indices((2**bits,) * (n - 1)).reshape(n - 1, count).T
+    phases = np.zeros((count, n))
+    phases[:, 1:] = codes * (360.0 / (2**bits))
+    return (1.0 / math.sqrt(n)) * np.exp(1j * np.radians(phases))
 
 
 @dataclass(frozen=True)
@@ -104,8 +109,8 @@ class SynthesisPlan:
         if len(set(labels)) != len(labels):
             raise ValueError(f"sub-array labels must be unique: {labels}")
         bits = int(self.bits)
-        if not (MIN_BITS <= bits <= MAX_BITS):
-            raise ValueError(f"bits must be in [{MIN_BITS}, {MAX_BITS}], got {bits}")
+        for s in subs:
+            weight_count(s.size, bits)
         object.__setattr__(self, "sub_arrays", subs)
         object.__setattr__(self, "bits", bits)
 
@@ -130,13 +135,6 @@ class SynthesizedPattern:
             return 10.0 * np.log10(p)
 
 
-@dataclass(frozen=True)
-class Realization:
-    sub_array: str
-    weight_index: int
-    pattern: SynthesizedPattern
-
-
 def _element_gains(pattern_set: ElementPatternSet, spec: SubArraySpec) -> np.ndarray:
     for i in spec.feed_indices:
         if i >= len(pattern_set.feeds):
@@ -159,30 +157,6 @@ def synthesize(
     elem = _element_gains(pattern_set, spec)
     fields = synthesize_fields(elem, w.phasors[np.newaxis, :])[0]
     return SynthesizedPattern(pattern_set.grid, fields)
-
-
-def synthesize_batch(
-    pattern_set: ElementPatternSet, spec: SubArraySpec, weights
-) -> np.ndarray:
-    """Fields for many weight vectors at once: (n_weights, n_dirs, 2)."""
-    elem = _element_gains(pattern_set, spec)
-    phasors = np.array([w.phasors for w in weights])
-    return synthesize_fields(elem, phasors)
-
-
-def synthesize_all(pattern_set: ElementPatternSet, plan: SynthesisPlan) -> list:
-    """Every realization of the plan, ordered by sub-array then weight."""
-    out = []
-    for spec in plan.sub_arrays:
-        weights = enumerate_weights(spec, plan.bits)
-        fields = synthesize_batch(pattern_set, spec, weights)
-        for k in range(len(weights)):
-            out.append(
-                Realization(
-                    spec.label, k, SynthesizedPattern(pattern_set.grid, fields[k])
-                )
-            )
-    return out
 
 
 def plan_from_config(config: dict, feeds) -> SynthesisPlan:

@@ -508,6 +508,7 @@ def test_capacity_blowup_exits_2(tmp_path):
     )
     # 2^(6*4) weights blows past the enumeration cap
     assert main(["synth", "--config", cfg, "--bits", "6"]) == 2
+    assert main(["coverage", "--config", cfg, "--bits", "6"]) == 2
 
 
 def test_unknown_material_exits_2(tmp_path):

@@ -11,25 +11,49 @@ from arraycov.coverage import (
     load_cdf_csv,
     mae_per_theta_cut,
     max_gain_over_plan,
-    max_realized_gain,
     percentile_gain,
     save_cdf_csv,
     save_gainmap_csv,
 )
 from arraycov.errors import ParseError
 from arraycov.grid import SphericalGrid, make_regular_grid, make_uniform_sphere_grid
+from arraycov.kernels import synthesize_fields
 from arraycov.pattern import ElementPatternSet
-from arraycov.synth import SubArraySpec, SynthesisPlan, synthesize_all
+from arraycov.synth import SubArraySpec, SynthesisPlan, enumerate_weights
 
 
-def random_realizations(grid, n, seed=0):
+def random_single_element_plan(grid, n, seed=0):
+    # one single-element sub-array per feed: realization k's fields are
+    # exactly feed k's gains
     rng = np.random.default_rng(seed)
     gains = rng.normal(size=(n, len(grid), 2)) + 1j * rng.normal(
         size=(n, len(grid), 2)
     )
     pset = ElementPatternSet(grid, tuple(f"f{i}" for i in range(n)), gains)
     plan = SynthesisPlan(tuple(SubArraySpec(f"s{i}", (i,)) for i in range(n)), bits=1)
-    return synthesize_all(pset, plan)
+    return pset, plan
+
+
+def power_of(fields):
+    return np.abs(fields[..., 0]) ** 2 + np.abs(fields[..., 1]) ** 2
+
+
+def reference_max_over_plan(pattern_set, plan):
+    """Materializing oracle: synthesize every realization of the plan,
+    then keep the per-direction maximum, ties to the lowest index."""
+    realized = []
+    for spec in plan.sub_arrays:
+        elem = pattern_set.gains[list(spec.feed_indices)]
+        realized.extend(synthesize_fields(elem, enumerate_weights(spec, plan.bits)))
+    grid = pattern_set.grid
+    best_power = np.full(len(grid), -1.0)
+    best_index = np.zeros(len(grid), dtype=np.int64)
+    for k, fields in enumerate(realized):
+        p = power_of(fields)
+        better = p > best_power
+        best_power[better] = p[better]
+        best_index[better] = k
+    return GainMap(grid, best_power, best_index)
 
 
 def random_map(grid, seed=0):
@@ -77,13 +101,13 @@ def oracle_percentile(gain_lin, weights, p):
 
 def test_max_matches_bruteforce_loop():
     grid = make_uniform_sphere_grid(50)
-    reals = random_realizations(grid, 8, seed=1)
-    out = max_realized_gain(reals)
+    pset, plan = random_single_element_plan(grid, 8, seed=1)
+    out = max_gain_over_plan(pset, plan)
     for d in range(len(grid)):
         best = -1.0
         best_k = 0
-        for k, r in enumerate(reals):
-            f = r.pattern.fields[d]
+        for k in range(len(pset.feeds)):
+            f = pset.gains[k, d]
             p = abs(f[0]) ** 2 + abs(f[1]) ** 2
             if p > best:
                 best = p
@@ -94,36 +118,48 @@ def test_max_matches_bruteforce_loop():
 
 def test_max_single_realization_identity():
     grid = make_uniform_sphere_grid(30)
-    reals = random_realizations(grid, 1, seed=2)
-    out = max_realized_gain(reals)
-    np.testing.assert_allclose(out.gain, reals[0].pattern.power_gain(), rtol=1e-15)
+    pset, plan = random_single_element_plan(grid, 1, seed=2)
+    out = max_gain_over_plan(pset, plan)
+    np.testing.assert_allclose(out.gain, power_of(pset.gains[0]), rtol=1e-15)
     assert np.all(out.best_index == 0)
 
 
 def test_max_dominant_realization_wins():
     grid = make_uniform_sphere_grid(30)
-    reals = random_realizations(grid, 2, seed=3)
-    boosted = ElementPatternSet(
-        grid, ("f0", "f1"), np.stack([r.pattern.fields for r in reals]) * [[[1.0]], [[10.0]]]
-    )
-    plan = SynthesisPlan((SubArraySpec("a", (0,)), SubArraySpec("b", (1,))), bits=1)
-    out = max_realized_gain(synthesize_all(boosted, plan))
+    pset, plan = random_single_element_plan(grid, 2, seed=3)
+    boosted = ElementPatternSet(grid, pset.feeds, pset.gains * [[[1.0]], [[10.0]]])
+    out = max_gain_over_plan(boosted, plan)
     assert np.all(out.best_index == 1)
 
 
 def test_max_dominance_invariant():
     grid = make_uniform_sphere_grid(40)
-    reals = random_realizations(grid, 5, seed=4)
-    out = max_realized_gain(reals)
-    for r in reals:
-        assert np.all(out.gain >= r.pattern.power_gain() - 1e-15)
+    pset, plan = random_single_element_plan(grid, 5, seed=4)
+    out = max_gain_over_plan(pset, plan)
+    for k in range(len(pset.feeds)):
+        assert np.all(out.gain >= power_of(pset.gains[k]) - 1e-15)
 
 
-def test_max_grid_mismatch_rejected():
-    a = random_realizations(make_uniform_sphere_grid(30), 1, seed=5)
-    b = random_realizations(make_uniform_sphere_grid(60), 1, seed=5)
-    with pytest.raises(ValueError):
-        max_realized_gain(a + b)
+def test_plan_numbers_realizations_by_sub_array_then_weight():
+    # on direction k only realization k (a/0, a/1, b/0, b/1) adds up
+    # in phase; every other direction is dark
+    grid = make_uniform_sphere_grid(30)
+    gains = np.zeros((4, len(grid), 2), dtype=complex)
+    gains[:, :4, 0] = [
+        [1.0, 1.0, 0.0, 0.0],
+        [1.0, -1.0, 0.0, 0.0],
+        [0.0, 0.0, 2.0, 2.0],
+        [0.0, 0.0, 2.0, -2.0],
+    ]
+    pset = ElementPatternSet(grid, ("a0", "a1", "b0", "b1"), gains)
+    plan = SynthesisPlan(
+        (SubArraySpec("a", (0, 1)), SubArraySpec("b", (2, 3))), bits=1
+    )
+    out = max_gain_over_plan(pset, plan)
+    assert plan.realization_count == 4
+    assert out.best_index[:4].tolist() == [0, 1, 2, 3]
+    np.testing.assert_allclose(out.gain[:4], [2.0, 2.0, 8.0, 8.0], rtol=1e-15)
+    assert np.all(out.gain[4:] == 0.0) and np.all(out.best_index[4:] == 0)
 
 
 def test_fused_equals_listed_path():
@@ -137,7 +173,7 @@ def test_fused_equals_listed_path():
         (SubArraySpec("s1", (0, 1)), SubArraySpec("s2", (2, 3))), bits=2
     )
     fused = max_gain_over_plan(pset, plan)
-    listed = max_realized_gain(synthesize_all(pset, plan))
+    listed = reference_max_over_plan(pset, plan)
     np.testing.assert_allclose(fused.gain, listed.gain, rtol=1e-12)
     np.testing.assert_array_equal(fused.best_index, listed.best_index)
 
@@ -212,8 +248,7 @@ def test_cdf_permutation_invariant():
 
 def test_common_scaling_shifts_percentiles():
     grid = make_uniform_sphere_grid(150)
-    reals = random_realizations(grid, 4, seed=11)
-    base = max_realized_gain(reals)
+    base = max_gain_over_plan(*random_single_element_plan(grid, 4, seed=11))
     c = 3.7
     scaled = GainMap(grid, base.gain * c, base.best_index)
     pa = coverage_cdf(base)

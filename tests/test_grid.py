@@ -15,7 +15,6 @@ from arraycov.grid import (
     make_uniform_sphere_grid,
     regular_ring_structure,
     save_grid_csv,
-    solid_angle_weights,
 )
 from arraycov.pattern import ElementPatternSet, load_pattern_csv, save_pattern_csv
 
@@ -281,14 +280,6 @@ def test_nonpositive_weights_rejected():
             np.array([1.0, 0.0]),
             kind="uniform-sphere",
         )
-
-
-def test_solid_angle_weights_returns_copy():
-    grid = make_regular_grid(30.0, 90.0)
-    w = solid_angle_weights(grid)
-    np.testing.assert_array_equal(w, grid.weight_sr)
-    w[0] = -1.0
-    assert grid.weight_sr[0] > 0.0
 
 
 def test_detect_regular_steps():

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from arraycov.errors import CapacityError, ConfigError
 from arraycov.grid import make_regular_grid, make_uniform_sphere_grid
+from arraycov.kernels import synthesize_fields
 from arraycov.pattern import ElementPatternSet
 from arraycov.synth import (
     SubArraySpec,
@@ -14,7 +16,6 @@ from arraycov.synth import (
     enumerate_weights,
     plan_from_config,
     synthesize,
-    synthesize_all,
     weight_count,
 )
 
@@ -22,6 +23,27 @@ from arraycov.synth import (
 def pattern_of(gains, grid):
     feeds = tuple(f"f{i}" for i in range(gains.shape[0]))
     return ElementPatternSet(grid, feeds, gains)
+
+
+def reference_enumerate_phasors(spec, bits):
+    # one WeightVector per row, the codebook's earlier construction
+    step = 360.0 / (2**bits)
+    amplitude = 1.0 / math.sqrt(spec.size)
+    return np.array(
+        [
+            WeightVector((0.0,) + tuple(k * step for k in rest), amplitude).phasors
+            for rest in itertools.product(range(2**bits), repeat=spec.size - 1)
+        ]
+    )
+
+
+def phase_codes(phasors, bits):
+    # integer lattice codes of a phasor matrix's phases
+    return np.rint(np.angle(phasors) * 2**bits / (2 * math.pi)).astype(int) % 2**bits
+
+
+def powers(fields):
+    return np.abs(fields[..., 0]) ** 2 + np.abs(fields[..., 1]) ** 2
 
 
 def test_enumeration_counts_headline():
@@ -36,39 +58,64 @@ def test_enumeration_counts_headline():
 
 def test_enumeration_single_element():
     weights = enumerate_weights(SubArraySpec("solo", (0,)), 3)
-    assert len(weights) == 1
-    assert weights[0].phases_deg == (0.0,)
-    assert weights[0].amplitude == 1.0
+    assert isinstance(weights, np.ndarray)
+    assert weights.shape == (1, 1)
+    assert weights[0, 0] == 1.0
 
 
 def test_enumeration_two_elements_one_bit():
     weights = enumerate_weights(SubArraySpec("pair", (0, 1)), 1)
-    assert [w.phases_deg for w in weights] == [(0.0, 0.0), (0.0, 180.0)]
-    assert weights[0].amplitude == pytest.approx(1 / math.sqrt(2))
+    assert weights.shape == (2, 2)
+    assert phase_codes(weights, 1).tolist() == [[0, 0], [0, 1]]
+    np.testing.assert_allclose(
+        weights, [[1.0, 1.0], [1.0, -1.0]] / np.sqrt(2), rtol=0, atol=1e-15
+    )
 
 
 def test_enumeration_lattice_and_reference():
     spec = SubArraySpec("s", (0, 1, 2))
     weights = enumerate_weights(spec, 2)
-    assert len(weights) == 16
-    for w in weights:
-        assert w.phases_deg[0] == 0.0
-        for p in w.phases_deg:
-            assert p % 90.0 == 0.0
-    # lexicographic order over the trailing phases
-    seq = [w.phases_deg[1:] for w in weights]
-    assert seq == sorted(seq)
+    assert weights.shape == (16, 3)
+    amplitude = 1 / math.sqrt(3)
+    assert np.all(weights[:, 0] == amplitude)
+    codes = phase_codes(weights, 2)
+    np.testing.assert_allclose(
+        weights, amplitude * np.exp(0.5j * math.pi * codes), rtol=0, atol=1e-15
+    )
+    # lexicographic order over the trailing phases, each vector once
+    seq = [tuple(row) for row in codes[:, 1:]]
+    assert seq == list(itertools.product(range(4), repeat=2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_enumeration_matches_weight_vector_loop(n):
+    spec = SubArraySpec("s", tuple(range(n)))
+    for bits in range(1, 7):
+        if weight_count(n, bits) > 100_000:
+            break
+        weights = enumerate_weights(spec, bits)
+        expected = reference_enumerate_phasors(spec, bits)
+        assert weights.dtype == expected.dtype == np.complex128
+        assert weights.shape == expected.shape
+        np.testing.assert_array_equal(
+            weights.view(np.int64), expected.view(np.int64)
+        )
 
 
 def test_enumeration_validation():
     spec = SubArraySpec("s", (0, 1, 2, 3))
-    with pytest.raises(ValueError):
-        enumerate_weights(spec, 0)
-    with pytest.raises(ValueError):
-        enumerate_weights(spec, 7)
-    # 2^(6*4) = 16.7M exceeds the 1e7 cap
+    for bits in (0, 7):
+        with pytest.raises(ValueError, match="bits"):
+            enumerate_weights(spec, bits)
+        with pytest.raises(ValueError, match="bits"):
+            SynthesisPlan((spec,), bits=bits)
+    # 2^(6*4) = 16.7M exceeds the 1e7 cap; a plan holding such a
+    # sub-array fails when it is built, before any enumeration
+    big = SubArraySpec("big", (0, 1, 2, 3, 4))
     with pytest.raises(CapacityError):
-        enumerate_weights(SubArraySpec("big", (0, 1, 2, 3, 4)), 6)
+        enumerate_weights(big, 6)
+    with pytest.raises(CapacityError):
+        SynthesisPlan((spec, big), bits=6)
 
 
 def test_coherent_combining_plus_6dB():
@@ -140,13 +187,11 @@ def test_global_phase_invariance():
     grid = make_uniform_sphere_grid(80)
     rng = np.random.default_rng(3)
     gains = rng.normal(size=(4, len(grid), 2)) + 1j * rng.normal(size=(4, len(grid), 2))
-    pset = pattern_of(gains, grid)
-    rotated = pattern_of(gains * cmath.exp(1j * 1.234), grid)
-    spec = SubArraySpec("s", (0, 1, 2, 3))
-    for w in enumerate_weights(spec, 1):
-        a = synthesize(pset, spec, w).power_gain()
-        b = synthesize(rotated, spec, w).power_gain()
-        np.testing.assert_allclose(a, b, rtol=1e-12)
+    weights = enumerate_weights(SubArraySpec("s", (0, 1, 2, 3)), 1)
+    a = powers(synthesize_fields(gains, weights))
+    b = powers(synthesize_fields(gains * cmath.exp(1j * 1.234), weights))
+    assert a.shape == (8, len(grid))
+    np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
 def test_reference_element_loses_no_generality():
@@ -158,9 +203,8 @@ def test_reference_element_loses_no_generality():
     pset = pattern_of(gains, grid)
     spec = SubArraySpec("pair", (0, 1))
     amplitude = 1 / math.sqrt(2)
-    constrained = [
-        synthesize(pset, spec, w).power_gain() for w in enumerate_weights(spec, 2)
-    ]
+    constrained = powers(synthesize_fields(gains, enumerate_weights(spec, 2)))
+    assert len(constrained) == 4
     for p0 in (0.0, 90.0, 180.0, 270.0):
         for p1 in (0.0, 90.0, 180.0, 270.0):
             free = synthesize(
@@ -171,37 +215,14 @@ def test_reference_element_loses_no_generality():
             )
 
 
-def test_synthesize_all_ordering():
-    grid = make_uniform_sphere_grid(30)
-    rng = np.random.default_rng(5)
-    gains = rng.normal(size=(4, len(grid), 2)) + 1j * rng.normal(size=(4, len(grid), 2))
-    pset = pattern_of(gains, grid)
-    plan = SynthesisPlan(
-        (SubArraySpec("a", (0, 1)), SubArraySpec("b", (2, 3))), bits=1
-    )
-    out = synthesize_all(pset, plan)
-    assert [(r.sub_array, r.weight_index) for r in out] == [
-        ("a", 0),
-        ("a", 1),
-        ("b", 0),
-        ("b", 1),
-    ]
-    assert plan.realization_count == len(out)
-    # each realization matches a direct synthesize call
-    weights = enumerate_weights(plan.sub_arrays[0], 1)
-    direct = synthesize(pset, plan.sub_arrays[0], weights[1])
-    np.testing.assert_array_equal(out[1].pattern.fields, direct.fields)
-
-
 def test_single_element_plan_reproduces_pattern():
     grid = make_uniform_sphere_grid(30)
     rng = np.random.default_rng(6)
     gains = rng.normal(size=(1, len(grid), 2)) + 1j * rng.normal(size=(1, len(grid), 2))
-    pset = pattern_of(gains, grid)
-    plan = SynthesisPlan((SubArraySpec("solo", (0,)),), bits=3)
-    out = synthesize_all(pset, plan)
-    assert len(out) == 1
-    np.testing.assert_allclose(out[0].pattern.fields, gains[0], rtol=1e-15)
+    weights = enumerate_weights(SubArraySpec("solo", (0,)), 3)
+    out = synthesize_fields(gains, weights)
+    assert out.shape == (1, len(grid), 2)
+    np.testing.assert_allclose(out[0], gains[0], rtol=1e-15)
 
 
 def test_counting_law_small_plans():
