@@ -89,7 +89,6 @@ class CoverageResult:
     gain_db: np.ndarray
     cdf: np.ndarray
     weighting: str = WEIGHTING_SOLID_ANGLE
-    map: GainMap | None = None
 
     def __post_init__(self):
         g = np.ascontiguousarray(self.gain_db, dtype=np.float64)
@@ -140,7 +139,7 @@ def coverage_cdf(gain_map: GainMap, weighting=WEIGHTING_SOLID_ANGLE) -> Coverage
     w_agg = np.add.reduceat(w_sorted, start)
     cum = np.cumsum(w_agg)
     cum /= cum[-1]
-    return CoverageResult(uniq, cum, weighting=weighting, map=gain_map)
+    return CoverageResult(uniq, cum, weighting=weighting)
 
 
 def percentile_gain(result: CoverageResult, p) -> float:

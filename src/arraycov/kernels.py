@@ -13,13 +13,16 @@ in two steps:
    magnitudes to take. It shortlists, per direction, the rows whose
    form lies within a rounding margin of the maximum.
 2. **Recompute.** The shortlisted rows' fields are synthesized exactly
-   as the chunked reference computes them (same zgemm call shapes, same
-   ``|f0|**2 + |f1|**2``), and only those exact powers decide.
+   as the chunked reference computes them (same rows per zgemm call,
+   same ``|f0|**2 + |f1|**2``), each call on only the directions its
+   rows need, and only those exact powers decide.
 
 So the result is bit for bit that of synthesizing every weight in
 chunks of ``_CHUNK`` rows and folding in each chunk's argmax. Ties are
 broken toward the lowest realization index.
 """
+
+import functools
 
 import numpy as np
 
@@ -84,6 +87,51 @@ def _shortlist(factors, form, best_power, margin):
     return np.concatenate(rows), np.concatenate(dirs)
 
 
+@functools.cache
+def _narrowing_is_exact(n_el):
+    """Whether a call on a subset of directions keeps the full call's bits.
+
+    The BLAS picks its kernel for the CPU at run time, so this is checked
+    once per element count on a small deterministic block. An even-width
+    subset of an even and of an odd full call, and an odd-width subset
+    that ends in the odd call's last direction (its 2-column tail), must
+    match the full calls bit for bit.
+    """
+    t = np.arange(n_el * 45 * 2.0).reshape(n_el, 45, 2)
+    gains = np.exp(1j * t) * (1.5 + np.sin(0.7 * t))
+    phasors = np.exp(1j * np.arange(_CHUNK * n_el).reshape(_CHUNK, n_el) / 3.0)
+    for n_dir, cols in (
+        (44, np.arange(1, 44, 2)),
+        (45, np.arange(0, 44, 2)),
+        (45, np.arange(2, 45, 3)),
+    ):
+        full = synthesize_fields(gains[:, :n_dir], phasors)[:, cols]
+        part = synthesize_fields(gains[:, cols], phasors)
+        if not np.array_equal(full.view(np.int64), part.view(np.int64)):
+            return False
+    return True
+
+
+def _call_columns(needed, n_dir):
+    """The directions one exact call synthesizes to give `needed` their bits.
+
+    needed is sorted and unique. A call of even width has no 2-column
+    tail. Where the full call has one (odd n_dir) and a needed direction
+    lies in it, the call has odd width and ends in that direction too.
+    Padding takes the lowest directions not needed; no call is one
+    direction wide, and where padding cannot reach the width, the call
+    takes every direction.
+    """
+    tail = n_dir % 2 == 1 and needed[-1] == n_dir - 1
+    width = max(needed.size + (needed.size + tail) % 2, 2 + tail)
+    if width >= n_dir:
+        return np.arange(n_dir)
+    take = np.zeros(n_dir, dtype=bool)
+    take[needed] = True
+    take[np.flatnonzero(~take[:width])[: width - needed.size]] = True
+    return np.flatnonzero(take)
+
+
 def _exact_powers(elem_gains, phasors, rows, dirs):
     """The chunked reference's power bits at each (row, direction) pair.
 
@@ -92,8 +140,16 @@ def _exact_powers(elem_gains, phasors, rows, dirs):
     position in the call. So rows of full chunks are synthesized 128 to
     a call (the last call padded by repeating rows), and rows of a
     trailing partial chunk in the one call of that chunk's size.
+
+    Nor does it depend on the other directions, outside a 2-column tail
+    (see _call_columns), so each call synthesizes only the directions
+    its rows need, unless the probe finds otherwise. A one-row call is a
+    gemv, whose bits depend on where BLAS threads split the columns, so
+    it takes every direction.
     """
     n_w = phasors.shape[0]
+    n_el, n_dir, _ = elem_gains.shape
+    narrow = _narrowing_is_exact(n_el)
     n_full = n_w // _CHUNK * _CHUNK
     packed = np.unique(rows[rows < n_full])
     calls = [(packed[s : s + _CHUNK], _CHUNK) for s in range(0, packed.size, _CHUNK)]
@@ -106,9 +162,13 @@ def _exact_powers(elem_gains, phasors, rows, dirs):
         slot[take] = np.arange(take.size)
         pos = slot[rows]
         hit = pos >= 0
+        if narrow and size > 1:
+            cols = _call_columns(np.unique(dirs[hit]), n_dir)
+        else:
+            cols = np.arange(n_dir)
         # bind only the gathered pairs, so one call's fields are alive at a time
-        pair = synthesize_fields(elem_gains, phasors[np.resize(take, size)])[
-            pos[hit], dirs[hit]
+        pair = synthesize_fields(elem_gains[:, cols], phasors[np.resize(take, size)])[
+            pos[hit], np.searchsorted(cols, dirs[hit])
         ]
         power[hit] = np.abs(pair[:, 0]) ** 2 + np.abs(pair[:, 1]) ** 2
     return power

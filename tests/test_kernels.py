@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arraycov import kernels
 from arraycov.kernels import synth_max_accumulate, synthesize_fields
@@ -12,11 +14,13 @@ def reference_synth_max(elem_gains, phasors, best_power, best_index, index_offse
     """The chunked synthesize-and-max loop that the kernel must reproduce.
 
     Synthesizes every weight vector in chunks of _CHUNK rows and folds in
-    each chunk's argmax; kept as the bit-for-bit reference.
+    each chunk's argmax; kept as the bit-for-bit reference. It looks
+    synthesize_fields up at call time, so that a test can substitute a
+    BLAS that rounds by column position.
     """
     n_weights = phasors.shape[0]
     for start in range(0, n_weights, _CHUNK):
-        block = synthesize_fields(elem_gains, phasors[start : start + _CHUNK])
+        block = kernels.synthesize_fields(elem_gains, phasors[start : start + _CHUNK])
         power = np.abs(block[:, :, 0]) ** 2 + np.abs(block[:, :, 1]) ** 2
         local_best = np.argmax(power, axis=0)
         local_power = power[local_best, np.arange(power.shape[1])]
@@ -57,14 +61,24 @@ def test_synthesize_fields_matches_einsum():
     assert out.shape == (19, 37, 2)
 
 
+@pytest.fixture
+def fresh_probe():
+    kernels._narrowing_is_exact.cache_clear()
+    yield
+    kernels._narrowing_is_exact.cache_clear()
+
+
+# odd direction counts end the reference's calls in a 2-column tail
+SHAPES = [(n_w, n_d) for n_w in (1, 2, 127, 128, 129, 517) for n_d in (1, 2, 3, 11, 61)]
+
+
 @pytest.mark.parametrize("kind", ["lattice", "amplitudes"])
-@pytest.mark.parametrize("n_weights", [1, 2, 127, 128, 129, 517])
+@pytest.mark.parametrize("n_weights,n_dir", SHAPES + [(300, 6445)])
 @pytest.mark.parametrize("n_el", [1, 2, 3, 4, 5])
-def test_matches_reference_bit_for_bit(n_el, n_weights, kind):
-    n_dir = 61
-    rng = np.random.default_rng(1000 * n_el + n_weights)
-    gains, _ = random_problem(n_el, n_dir, 0, seed=n_el + n_weights)
-    gains[:, 7] = 0.0  # an all-zero direction ties every row
+def test_matches_reference_bit_for_bit(n_el, n_weights, n_dir, kind):
+    rng = np.random.default_rng(1000 * n_el + n_weights + n_dir)
+    gains, _ = random_problem(n_el, n_dir, 0, seed=n_el + n_weights + n_dir)
+    gains[:, 7::61] = 0.0  # an all-zero direction ties every row
     if kind == "lattice":
         phasors = lattice_phasors(n_el, n_weights, 3, rng)
     else:
@@ -114,6 +128,85 @@ def test_lone_winner_recomputed_in_a_full_size_call():
             fn(gains, phasors[:n_weights], best_power, best_index, 0)
         assert np.all(states[1][1] == 77)
         assert_same_bits(*states)
+
+
+@pytest.mark.parametrize("alone", [False, True])
+@pytest.mark.parametrize("n_dir", [11, 6445])
+@pytest.mark.parametrize("n_el", [2, 3, 4, 5])
+def test_last_direction_of_an_odd_grid(n_el, n_dir, alone):
+    # the reference computes an odd grid's last direction in its calls'
+    # 2-column tail; a row of the trailing call wins it. Alone, the row
+    # wins nothing else, and its call needs that one direction.
+    gains, phasors = random_problem(n_el, n_dir, 300, seed=n_el + n_dir)
+    gains[:, -1] = 0.0
+    if alone:
+        # scaled copies of one row, all of them nulled by the last direction
+        lead = np.linspace(0.5, 1.0, 128)[:, None] * phasors[0]
+        phasors = np.concatenate([lead, 0.01 * phasors[-2:]])
+        gains[:2, -1, 0] = 3.0 * phasors[0, 1], -3.0 * phasors[0, 0]
+    else:
+        gains[:, -1, 0] = 3.0 * phasors[-1].conj()
+    states = fresh_state(n_dir), fresh_state(n_dir)
+    for fn, (best_power, best_index) in zip(
+        (synth_max_accumulate, reference_synth_max), states
+    ):
+        fn(gains, phasors, best_power, best_index, 0)
+    assert states[1][1][-1] >= len(phasors) - 2
+    assert_same_bits(*states)
+
+
+def test_one_row_call_keeps_every_direction():
+    # a one-row call is a gemv. With 2 BLAS threads this one splits its
+    # columns after direction 3222, whose field then rounds otherwise than
+    # in a narrower single-thread call; the last row wins there.
+    gains, phasors = random_problem(4, 6446, 257, seed=25)
+    gains[:, 3000:3400] += 3.0 * phasors[-1].conj()[:, None, None]
+    states = fresh_state(6446), fresh_state(6446)
+    for fn, (best_power, best_index) in zip(
+        (synth_max_accumulate, reference_synth_max), states
+    ):
+        fn(gains, phasors, best_power, best_index, 0)
+    assert states[1][1][3222] == 256
+    assert_same_bits(*states)
+
+
+def test_failed_probe_keeps_every_direction(monkeypatch, fresh_probe):
+    # a BLAS that rounds a call's first column differently: a narrowed call
+    # no longer gives the full call's bits, and the probe must see it
+    def skewed(elem_gains, phasors):
+        out = synthesize_fields(elem_gains, phasors)
+        out[:, 0] *= 1.0 + np.finfo(np.float64).eps
+        return out
+
+    monkeypatch.setattr(kernels, "synthesize_fields", skewed)
+    assert not kernels._narrowing_is_exact(4)
+    gains, phasors = random_problem(4, 61, 517, seed=12)
+    states = fresh_state(61), fresh_state(61)
+    for fn, (best_power, best_index) in zip(
+        (synth_max_accumulate, reference_synth_max), states
+    ):
+        fn(gains, phasors, best_power, best_index, 0)
+    assert_same_bits(*states)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_el=st.integers(1, 5),
+    n_dir=st.integers(1, 40),
+    n_weights=st.integers(1, 300),
+    bits=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_matches_reference(n_el, n_dir, n_weights, bits, seed):
+    rng = np.random.default_rng(seed)
+    gains, _ = random_problem(n_el, n_dir, 0, seed=seed)
+    phasors = lattice_phasors(n_el, n_weights, bits, rng)
+    states = fresh_state(n_dir), fresh_state(n_dir)
+    for fn, (best_power, best_index) in zip(
+        (synth_max_accumulate, reference_synth_max), states
+    ):
+        fn(gains, phasors, best_power, best_index, 0)
+    assert_same_bits(*states)
 
 
 def test_all_zero_directions_stay_off_the_shortlist(monkeypatch):
