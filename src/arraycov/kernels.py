@@ -113,11 +113,12 @@ def _narrowing_is_exact(n_el):
 
 
 def _call_columns(needed, n_dir):
-    """The directions one exact call synthesizes to give `needed` their bits.
+    """The sorted directions one exact call synthesizes.
 
-    needed is sorted and unique. A call of even width has no 2-column
-    tail. Where the full call has one (odd n_dir) and a needed direction
-    lies in it, the call has odd width and ends in that direction too.
+    needed is sorted and unique; each of its directions gets the bits of
+    the full-width call. A call of even width has no 2-column tail.
+    Where the full call has one (odd n_dir) and a needed direction lies
+    in it, the call has odd width and ends in that direction too.
     Padding takes the lowest directions not needed; no call is one
     direction wide, and where padding cannot reach the width, the call
     takes every direction.
