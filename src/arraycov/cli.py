@@ -10,7 +10,6 @@ error, 4 numeric/estimation error.
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -33,7 +32,7 @@ from .grid import (
     regular_ring_structure,
     save_grid_csv,
 )
-from .ioutil import format_float, write_json
+from .ioutil import format_float, write_csv, write_json
 from .kernels import synthesize_fields
 
 EXIT_OK = 0
@@ -263,28 +262,15 @@ def cmd_synth(config) -> int:
 
 def _dump_realizations(pattern_set, plan, path) -> None:
     # pattern CSV shape with the feed column renamed; meant for small plans
-    grid = pattern_set.grid
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["realization_id"] + pattern.PATTERN_CSV_HEADER[1:])
-        for spec in plan.sub_arrays:
-            elem = pattern_set.gains[list(spec.feed_indices)]
-            fields = synthesize_fields(elem, synth.enumerate_weights(spec, plan.bits))
-            for k in range(len(fields)):
-                rid = f"{spec.label}/{k}"
-                for di in range(len(grid)):
-                    g = fields[k, di]
-                    writer.writerow(
-                        [
-                            rid,
-                            format_float(grid.theta_deg[di]),
-                            format_float(grid.phi_deg[di]),
-                            format_float(g[0].real),
-                            format_float(g[0].imag),
-                            format_float(g[1].real),
-                            format_float(g[1].imag),
-                        ]
-                    )
+    rids, fields = [], []
+    for spec in plan.sub_arrays:
+        elem = pattern_set.gains[list(spec.feed_indices)]
+        fields.append(synthesize_fields(elem, synth.enumerate_weights(spec, plan.bits)))
+        rids += [f"{spec.label}/{k}" for k in range(len(fields[-1]))]
+    columns = pattern.pattern_csv_columns(
+        rids, pattern_set.grid, np.concatenate(fields)
+    )
+    write_csv(path, ["realization_id"] + pattern.PATTERN_CSV_HEADER[1:], columns)
 
 
 def cmd_coverage(config) -> int:
@@ -365,11 +351,11 @@ def cmd_compare(config) -> int:
         b = cov.percentile_gain(result_b, p)
         rows.append((p, a, b, a - b))
     out = _output_dir(config)
-    with open(os.path.join(out, "compare.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["level", "gain_a_db", "gain_b_db", "delta_db"])
-        for row in rows:
-            writer.writerow([format_float(v) for v in row])
+    write_csv(
+        os.path.join(out, "compare.csv"),
+        ["level", "gain_a_db", "gain_b_db", "delta_db"],
+        list(zip(*rows)),
+    )
     write_json(
         os.path.join(out, "compare.json"),
         {
@@ -395,20 +381,13 @@ def cmd_reflect(config) -> int:
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        rows.append((f, gamma))
+        rows.append((f, gamma.real, gamma.imag, materials.reflection_db(gamma)))
     out = _output_dir(config)
-    with open(os.path.join(out, "reflection.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frequency_ghz", "re_gamma", "im_gamma", "gamma_db"])
-        for f, gamma in rows:
-            writer.writerow(
-                [
-                    format_float(f),
-                    format_float(gamma.real),
-                    format_float(gamma.imag),
-                    format_float(materials.reflection_db(gamma)),
-                ]
-            )
+    write_csv(
+        os.path.join(out, "reflection.csv"),
+        ["frequency_ghz", "re_gamma", "im_gamma", "gamma_db"],
+        list(zip(*rows)),
+    )
     return EXIT_OK
 
 

@@ -6,7 +6,6 @@ the CDF of that map over the sphere (solid-angle weighted, so grids do
 not over-represent the poles) is the spherical coverage.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -14,7 +13,7 @@ import numpy as np
 
 from .errors import ParseError
 from .grid import SphericalGrid, regular_ring_structure
-from .ioutil import csv_rows, format_float
+from .ioutil import parse_floats, table_rows, write_csv
 from .kernels import synth_max_accumulate
 from .pattern import ElementPatternSet
 from .synth import SynthesisPlan, enumerate_weights
@@ -198,38 +197,18 @@ CDF_CSV_HEADER = ["gain_db", "cdf"]
 
 
 def save_cdf_csv(result: CoverageResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CDF_CSV_HEADER)
-        for i in range(result.gain_db.size):
-            writer.writerow(
-                [format_float(result.gain_db[i]), format_float(result.cdf[i])]
-            )
+    write_csv(path, CDF_CSV_HEADER, [result.gain_db, result.cdf])
 
 
 def load_cdf_csv(path) -> CoverageResult:
-    gains, cdf = [], []
-    with open(path, newline="") as fh:
-        reader = csv_rows(fh, path)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != CDF_CSV_HEADER:
-            raise ParseError(
-                f"expected header {','.join(CDF_CSV_HEADER)}", path=path, row=1
-            )
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != 2:
-                raise ParseError("expected 2 columns", path=path, row=lineno)
-            try:
-                gains.append(float(rec[0]))
-                cdf.append(float(rec[1]))
-            except ValueError:
-                raise ParseError("non-numeric value", path=path, row=lineno) from None
-    if not gains:
+    rows = [
+        parse_floats(cells, path, row) for row, cells in table_rows(path, CDF_CSV_HEADER)
+    ]
+    if not rows:
         raise ParseError("no entries", path=path)
+    gains, cdf = np.array(rows).T
     try:
-        return CoverageResult(np.array(gains), np.array(cdf))
+        return CoverageResult(gains, cdf)
     except ValueError as exc:
         raise ParseError(str(exc), path=path) from exc
 
@@ -239,16 +218,8 @@ GAINMAP_CSV_HEADER = ["theta_deg", "phi_deg", "weight_sr", "gain_db"]
 
 def save_gainmap_csv(gain_map: GainMap, path) -> None:
     grid = gain_map.grid
-    gain_db = gain_map.gain_db()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(GAINMAP_CSV_HEADER)
-        for i in range(len(grid)):
-            writer.writerow(
-                [
-                    format_float(grid.theta_deg[i]),
-                    format_float(grid.phi_deg[i]),
-                    format_float(grid.weight_sr[i]),
-                    format_float(gain_db[i]),
-                ]
-            )
+    write_csv(
+        path,
+        GAINMAP_CSV_HEADER,
+        [grid.theta_deg, grid.phi_deg, grid.weight_sr, gain_map.gain_db()],
+    )

@@ -7,7 +7,6 @@ patterns as a magnitude factor. Phase is left untouched: the
 exhaustive quantized-phase search downstream absorbs phase offsets.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from .errors import EstimationError, ParseError
 from .grid import Direction
-from .ioutil import csv_rows, format_float
+from .ioutil import parse_floats, table_rows, write_csv
 from .pattern import ElementPatternSet
 
 DEFAULT_WINDOW_HALFWIDTH_DEG = 60.0
@@ -127,49 +126,24 @@ LOSS_CSV_HEADER = ["feed", "loss_db", "window_halfwidth_deg"]
 
 
 def save_loss_csv(table: PortLossTable, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LOSS_CSV_HEADER)
-        for feed in table.feeds:
-            writer.writerow(
-                [
-                    feed,
-                    format_float(table.loss_db[feed]),
-                    format_float(table.window_halfwidth_deg[feed]),
-                ]
-            )
+    feeds = table.feeds
+    losses = [table.loss_db[feed] for feed in feeds]
+    halfwidths = [table.window_halfwidth_deg[feed] for feed in feeds]
+    write_csv(path, LOSS_CSV_HEADER, [feeds, losses, halfwidths])
 
 
 def load_loss_csv(path) -> PortLossTable:
-    feeds = []
-    losses = {}
-    halfwidths = {}
-    with open(path, newline="") as fh:
-        reader = csv_rows(fh, path)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != LOSS_CSV_HEADER:
+    losses, halfwidths = {}, {}
+    for row, cells in table_rows(path, LOSS_CSV_HEADER):
+        feed = cells[0].strip()
+        if not feed or feed in losses:
             raise ParseError(
-                f"expected header {','.join(LOSS_CSV_HEADER)}", path=path, row=1
+                f"missing or repeated feed label {feed!r}", path=path, row=row
             )
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != 3:
-                raise ParseError("expected 3 columns", path=path, row=lineno)
-            feed = rec[0].strip()
-            if not feed or feed in losses:
-                raise ParseError(
-                    f"missing or repeated feed label {feed!r}", path=path, row=lineno
-                )
-            try:
-                losses[feed] = float(rec[1])
-                halfwidths[feed] = float(rec[2])
-            except ValueError:
-                raise ParseError("non-numeric value", path=path, row=lineno) from None
-            feeds.append(feed)
-    if not feeds:
+        losses[feed], halfwidths[feed] = parse_floats(cells[1:], path, row)
+    if not losses:
         raise ParseError("no entries", path=path)
     try:
-        return PortLossTable(tuple(feeds), losses, halfwidths)
+        return PortLossTable(tuple(losses), losses, halfwidths)
     except ValueError as exc:
         raise ParseError(str(exc), path=path) from exc

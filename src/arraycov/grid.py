@@ -10,14 +10,13 @@ Weights come from exact band integrals (differences of cos(theta)), so
 every full-sphere grid closes to 4*pi up to rounding.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParseError
-from .ioutil import csv_rows, format_float
+from .ioutil import parse_floats, table_rows, write_csv
 
 FULL_SPHERE_SR = 4.0 * math.pi
 
@@ -304,52 +303,25 @@ GRID_CSV_HEADER = ["theta_deg", "phi_deg", "weight_sr"]
 
 
 def save_grid_csv(grid: SphericalGrid, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(GRID_CSV_HEADER)
-        for i in range(len(grid)):
-            writer.writerow(
-                [
-                    format_float(grid.theta_deg[i]),
-                    format_float(grid.phi_deg[i]),
-                    format_float(grid.weight_sr[i]),
-                ]
-            )
+    write_csv(path, GRID_CSV_HEADER, [grid.theta_deg, grid.phi_deg, grid.weight_sr])
 
 
 def load_grid_csv(path) -> SphericalGrid:
     """Read a grid CSV (theta_deg, phi_deg, weight_sr with header)."""
-    thetas, phis, weights = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv_rows(fh, path)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != GRID_CSV_HEADER:
-            raise ParseError(
-                f"expected header {','.join(GRID_CSV_HEADER)}", path=path, row=1
-            )
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != 3:
-                raise ParseError("expected 3 columns", path=path, row=lineno)
-            try:
-                theta, phi, weight = (float(v) for v in rec)
-            except ValueError:
-                raise ParseError("non-numeric value", path=path, row=lineno) from None
-            if not all(map(math.isfinite, (theta, phi, weight))):
-                raise ParseError("non-finite value", path=path, row=lineno)
-            thetas.append(theta)
-            phis.append(phi)
-            weights.append(weight)
-    if not thetas:
+    rows = [
+        parse_floats(cells, path, row, finite=True)
+        for row, cells in table_rows(path, GRID_CSV_HEADER)
+    ]
+    if not rows:
         raise ParseError("no samples", path=path)
-    steps = detect_regular_steps(np.array(thetas), np.array(phis))
+    thetas, phis, weights = np.array(rows).T
+    steps = detect_regular_steps(thetas, phis)
     kind = KIND_REGULAR if steps else KIND_UNIFORM
     try:
         return SphericalGrid(
-            np.array(thetas),
-            np.array(phis),
-            np.array(weights),
+            thetas,
+            phis,
+            weights,
             kind=kind,
             theta_step_deg=steps[0] if steps else None,
             phi_step_deg=steps[1] if steps else None,

@@ -1,6 +1,7 @@
 """Small I/O helpers shared by the CSV readers and writers."""
 
 import csv
+import io
 import json
 import math
 
@@ -19,6 +20,50 @@ def format_float(value) -> str:
     if math.isinf(v):
         return "inf" if v > 0 else "-inf"
     return np.format_float_positional(v, unique=True, trim="0")
+
+
+def _float_cells(values):
+    """format_float of each value, formatted once per distinct bit pattern.
+
+    repr of a Python float is format_float's string wherever repr has no
+    exponent; values with one (|v| < 1e-4 or |v| >= 1e16) keep
+    format_float.
+    """
+    bits, inverse = np.unique(
+        np.ascontiguousarray(values, dtype=np.float64).ravel().view(np.int64),
+        return_inverse=True,
+    )
+    distinct = bits.view(np.float64).tolist()
+    text = [
+        t if "e" not in t else format_float(v)
+        for v, t in zip(distinct, map(repr, distinct))
+    ]
+    return np.array(text, dtype=object)[inverse].tolist()
+
+
+def _label_cells(labels):
+    """Each label as csv.writer writes it in a row of two or more cells."""
+    quoted = {}
+    for label in set(labels):
+        buf = io.StringIO()
+        csv.writer(buf).writerow([label, ""])
+        quoted[label] = buf.getvalue()[: -len(",\r\n")]
+    return [quoted[label] for label in labels]
+
+
+def write_csv(path, header, columns) -> None:
+    """Write a table of two or more columns, given column by column.
+
+    A column holds str labels or numbers. The bytes are those of
+    csv.writer writing the rows with every number as format_float.
+    """
+    cells = [
+        _label_cells(c) if len(c) and isinstance(c[0], str) else _float_cells(c)
+        for c in columns
+    ]
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
 
 
 def csv_rows(fh, path):
@@ -48,6 +93,42 @@ def csv_rows(fh, path):
                 row = data.count(b"\n", 0, err.start) + 1
             raise ParseError(f"not {exc.encoding} text", path=path, row=row) from exc
         yield rec
+
+
+def check_header(header, expected, path) -> None:
+    """Raise ParseError at row 1 unless the stripped header is expected."""
+    if header is None or [h.strip() for h in header] != expected:
+        raise ParseError(f"expected header {','.join(expected)}", path=path, row=1)
+
+
+def table_rows(path, header):
+    """(row, cells) of each non-blank data row of a CSV table.
+
+    Rows are numbered as in the file, the header being row 1. Raises
+    ParseError at the header unless check_header passes, and at a row
+    whose cell count is not the header's.
+    """
+    with open(path, newline="") as fh:
+        reader = csv_rows(fh, path)
+        check_header(next(reader, None), header, path)
+        for row, cells in enumerate(reader, start=2):
+            if not cells:
+                continue
+            if len(cells) != len(header):
+                raise ParseError(f"expected {len(header)} columns", path=path, row=row)
+            yield row, cells
+
+
+def parse_floats(cells, path, row, finite=False):
+    """The cells as floats; ParseError at row where one is not a number,
+    or, with finite, not finite."""
+    try:
+        values = [float(v) for v in cells]
+    except ValueError:
+        raise ParseError("non-numeric value", path=path, row=row) from None
+    if finite and not all(map(math.isfinite, values)):
+        raise ParseError("non-finite value", path=path, row=row)
+    return values
 
 
 def read_json(path):

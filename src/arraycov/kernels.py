@@ -10,8 +10,10 @@ in two steps:
    vector w at direction d is the Hermitian form ``w^H R_d w`` with
    ``R_d[m, n] = sum_pol g_m conj(g_n)``. That is one real GEMM,
    ``F (n_w x N^2) @ A (N^2 x n_dir)``, with no complex fields and no
-   magnitudes to take. It shortlists, per direction, the rows whose
-   form lies within a rounding margin of the maximum.
+   magnitudes to take. It runs in float32 on F and A scaled so that
+   each direction's form is at most 1, and so is only approximate. It
+   shortlists, per direction, the rows whose form lies within a
+   rounding margin of the maximum.
 2. **Recompute.** The shortlisted rows' fields are synthesized exactly
    as the chunked reference computes them (same rows per zgemm call,
    same ``|f0|**2 + |f1|**2``), each call on only the directions its
@@ -29,6 +31,9 @@ import numpy as np
 # rows per select block and per exact synthesis call; the exact calls
 # must keep this shape (see _exact_powers)
 _CHUNK = 128
+
+# the select's bound on a carried best power, in units of its norm
+_CLIP = 2.0**64
 
 
 def synthesize_fields(elem_gains, phasors):
@@ -68,7 +73,7 @@ def _shortlist(factors, form, best_power, margin):
     in the blocks and directions still near the final maximum, which
     is about one block's worth in all.
     """
-    top = np.full(form.shape[1], -np.inf)
+    top = np.full(form.shape[1], -np.inf, dtype=form.dtype)
     near_blocks = []
     for start in range(0, factors.shape[0], _CHUNK):
         block_max = (factors[start : start + _CHUNK] @ form).max(axis=0)
@@ -207,10 +212,33 @@ def synth_max_accumulate(elem_gains, phasors, best_power, best_index, index_offs
     # absolute, scaled by up to max|w|^2. The winner's power is the
     # largest, so its form is at most 2 * margin below the largest form.
     w_max = np.abs(phasors).max()
-    scale = w_max * np.sqrt(diag).sum(axis=0)
+    gain_sum = np.sqrt(diag).sum(axis=0)
+    scale = w_max * gain_sum
     fp = np.finfo(np.float64)
     margin = 16.0 * n_el**2 * fp.eps * (scale**2 + fp.tiny * (1.0 + w_max**2))
-    rows, dirs = _shortlist(factors, form, best_power[live], margin)
+    # The select runs in float32, on F divided by max|w|^2 and each column
+    # of A by (sum_m sqrt(R_mm))^2: per direction, everything is divided by
+    # norm = s^2, raised to at least tiny, so the absolute values of the
+    # N^2 terms sum to at most 1. In these units the margin is margin /
+    # norm plus float32's own rounding: converting F and A (2 u32 per
+    # term), the GEMM's products and sums in any order (N^2 u32) and the
+    # floor's subtraction stay within (N^2 + 3) u32, which 16 N^2 eps32
+    # covers twice over. Below float32's normal range each term may be
+    # off by up to 3 u32 tiny32 more, hence the tiny32 term. Best powers
+    # are clipped to +-2^64 in these units, beyond any form, so that none
+    # overflows float32; a lower floor only keeps more rows.
+    w2 = max(w_max**2, fp.tiny)
+    col = np.maximum(gain_sum**2, fp.tiny / w2)
+    norm = w2 * col
+    f32 = np.finfo(np.float32)
+    margin32 = margin / norm + 16.0 * n_el**2 * f32.eps * (1.0 + f32.tiny)
+    best = np.clip(best_power[live], -_CLIP * norm, _CLIP * norm) / norm
+    rows, dirs = _shortlist(
+        (factors / w2).astype(np.float32),
+        (form / col).astype(np.float32),
+        best.astype(np.float32),
+        margin32.astype(np.float32),
+    )
     dirs = live[dirs]
     power = _exact_powers(elem_gains, phasors, rows, dirs)
     # per direction: the largest exact power, lowest row among equals

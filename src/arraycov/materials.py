@@ -17,7 +17,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import MaterialRangeError, ParseError
-from .ioutil import csv_rows
+from .ioutil import parse_floats, table_rows
 
 # speed of light in mm/s; frequencies are GHz, lengths mm
 C_MM_PER_S = 299_792_458_000.0
@@ -209,32 +209,15 @@ MATERIAL_CSV_HEADER = ["frequency_ghz", "eps_real", "eps_imag"]
 def load_material_csv(path, name=None) -> MaterialRecord:
     if name is None:
         name = os.path.splitext(os.path.basename(os.fspath(path)))[0]
-    freqs, er, ei = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv_rows(fh, path)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != MATERIAL_CSV_HEADER:
-            raise ParseError(
-                f"expected header {','.join(MATERIAL_CSV_HEADER)}", path=path, row=1
-            )
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != 3:
-                raise ParseError("expected 3 columns", path=path, row=lineno)
-            try:
-                values = [float(v) for v in rec]
-            except ValueError:
-                raise ParseError("non-numeric value", path=path, row=lineno) from None
-            if not all(map(math.isfinite, values)):
-                raise ParseError("non-finite value", path=path, row=lineno)
-            freqs.append(values[0])
-            er.append(values[1])
-            ei.append(values[2])
-    if not freqs:
+    rows = [
+        parse_floats(cells, path, row, finite=True)
+        for row, cells in table_rows(path, MATERIAL_CSV_HEADER)
+    ]
+    if not rows:
         raise ParseError("no entries", path=path)
+    freqs, er, ei = np.array(rows).T
     try:
-        return MaterialRecord(name, np.array(freqs), np.array(er), np.array(ei))
+        return MaterialRecord(name, freqs, er, ei)
     except ValueError as exc:
         raise ParseError(str(exc), path=path) from exc
 

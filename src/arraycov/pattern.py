@@ -22,7 +22,14 @@ from .grid import (
     make_regular_grid,
     regular_ring_structure,
 )
-from .ioutil import csv_rows, format_float, read_json, write_json
+from .ioutil import (
+    check_header,
+    parse_floats,
+    read_json,
+    table_rows,
+    write_csv,
+    write_json,
+)
 
 DEFAULT_FREQUENCY_GHZ = 28.0
 DEFAULT_CONVENTION = "realized-gain-embedded"
@@ -117,13 +124,6 @@ def sidecar_path(csv_path) -> str:
     return root + ".json"
 
 
-def _check_header(header, path):
-    if header is None or [h.strip() for h in header] != PATTERN_CSV_HEADER:
-        raise ParseError(
-            f"expected header {','.join(PATTERN_CSV_HEADER)}", path=path, row=1
-        )
-
-
 def _parse_pattern_rows(path):
     """Validate a pattern CSV row by row; yields (row, feed, theta, phi % 360,
     g_theta, g_phi) per data row and raises ParseError at the first bad one.
@@ -132,31 +132,14 @@ def _parse_pattern_rows(path):
     files in one vectorized pass and comes here only to reject a file, to
     accept what that pass is stricter about, or to locate a row.
     """
-    with open(path, newline="") as fh:
-        reader = csv_rows(fh, path)
-        _check_header(next(reader, None), path)
-        for lineno, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != 7:
-                raise ParseError("expected 7 columns", path=path, row=lineno)
-            feed = rec[0].strip()
-            if not feed:
-                raise ParseError("empty feed label", path=path, row=lineno)
-            try:
-                values = [float(v) for v in rec[1:]]
-            except ValueError:
-                raise ParseError("non-numeric value", path=path, row=lineno) from None
-            if not all(map(math.isfinite, values)):
-                raise ParseError("non-finite value", path=path, row=lineno)
-            theta, phi = values[0], values[1]
-            if not (0.0 <= theta <= 180.0):
-                raise ParseError(
-                    f"theta_deg {theta} outside [0, 180]", path=path, row=lineno
-                )
-            g_theta = complex(values[2], values[3])
-            g_phi = complex(values[4], values[5])
-            yield lineno, feed, theta, phi % 360.0, g_theta, g_phi
+    for row, cells in table_rows(path, PATTERN_CSV_HEADER):
+        feed = cells[0].strip()
+        if not feed:
+            raise ParseError("empty feed label", path=path, row=row)
+        theta, phi, *g = parse_floats(cells[1:], path, row, finite=True)
+        if not (0.0 <= theta <= 180.0):
+            raise ParseError(f"theta_deg {theta} outside [0, 180]", path=path, row=row)
+        yield row, feed, theta, phi % 360.0, complex(g[0], g[1]), complex(g[2], g[3])
 
 
 def _row_number(path, index):
@@ -197,7 +180,7 @@ def _read_table(path):
     records = None
     try:
         with open(path, newline="") as fh:
-            _check_header(next(csv.reader(fh), None), path)
+            check_header(next(csv.reader(fh), None), PATTERN_CSV_HEADER, path)
             # loadtxt warns on a file without data; such a file goes the slow way
             first = next((line for line in fh if line.strip("\r\n")), None)
             if first is not None:
@@ -336,30 +319,32 @@ def load_pattern_csv(path) -> ElementPatternSet:
     )
 
 
+def pattern_csv_columns(labels, grid, fields):
+    """The pattern CSV's columns: one row per label and direction.
+
+    fields is complex (len(labels), len(grid), 2); rows go label by
+    label, in grid order within each.
+    """
+    n = len(labels)
+    return [
+        np.repeat(np.array(labels, dtype=object), len(grid)),
+        np.tile(grid.theta_deg, n),
+        np.tile(grid.phi_deg, n),
+        fields[:, :, 0].real,
+        fields[:, :, 0].imag,
+        fields[:, :, 1].real,
+        fields[:, :, 1].imag,
+    ]
+
+
 def save_pattern_csv(pattern_set: ElementPatternSet, path) -> None:
     """Write the pattern CSV and its JSON metadata sidecar.
 
     Floats go through shortest-round-trip formatting, so load after
     save reproduces every complex sample bit-exactly.
     """
-    grid = pattern_set.grid
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PATTERN_CSV_HEADER)
-        for fi, feed in enumerate(pattern_set.feeds):
-            for di in range(len(grid)):
-                g = pattern_set.gains[fi, di]
-                writer.writerow(
-                    [
-                        feed,
-                        format_float(grid.theta_deg[di]),
-                        format_float(grid.phi_deg[di]),
-                        format_float(g[0].real),
-                        format_float(g[0].imag),
-                        format_float(g[1].real),
-                        format_float(g[1].imag),
-                    ]
-                )
+    columns = pattern_csv_columns(pattern_set.feeds, pattern_set.grid, pattern_set.gains)
+    write_csv(path, PATTERN_CSV_HEADER, columns)
     write_json(
         sidecar_path(path),
         {

@@ -155,7 +155,8 @@ def synthesize(
             f"weight vector has {len(w.phases_deg)} phases, sub-array has {spec.size}"
         )
     elem = _element_gains(pattern_set, spec)
-    fields = synthesize_fields(elem, w.phasors[np.newaxis, :])[0]
+    # a 1-row product is a gemv, whose bits depend on the BLAS thread count
+    fields = synthesize_fields(elem, np.stack([w.phasors] * 2))[0]
     return SynthesizedPattern(pattern_set.grid, fields)
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,8 +98,9 @@ def test_matches_reference_bit_for_bit(n_el, n_weights, n_dir, kind):
     phasors[-1] = phasors[0]
     # the second call repeats a row of the first, so its ties keep the first index
     second = np.concatenate([phasors[n_weights // 2 :], phasors[:1]])
-    # 1e-160 puts the powers below the normal range
-    for scale in (1e-160, 1e-30, 1.0, 1e30):
+    # 1e-160 puts the powers below the normal range; at 1e-170 the
+    # form's factors underflow to zero, though the gains do not
+    for scale in (1e-170, 1e-160, 1e-30, 1.0, 1e30):
         states = fresh_state(n_dir), fresh_state(n_dir)
         for fn, (best_power, best_index) in zip(
             (synth_max_accumulate, reference_synth_max), states
@@ -201,16 +204,44 @@ def test_failed_probe_keeps_every_direction(monkeypatch, fresh_probe):
     n_weights=st.integers(1, 300),
     bits=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
+    # 1e-160 puts the powers below float64's normal range
+    gain_scale=st.floats(-160.0, 30.0).map(lambda e: 10.0**e),
+    # amplitudes spread over 10^-spread .. 10^spread per element
+    spread=st.floats(0.0, 3.0),
 )
-def test_property_matches_reference(n_el, n_dir, n_weights, bits, seed):
+def test_property_matches_reference(
+    n_el, n_dir, n_weights, bits, seed, gain_scale, spread
+):
     rng = np.random.default_rng(seed)
     gains, _ = random_problem(n_el, n_dir, 0, seed=seed)
+    gains *= gain_scale
     phasors = lattice_phasors(n_el, n_weights, bits, rng)
+    phasors *= 10.0 ** rng.uniform(-spread, spread, size=phasors.shape)
     states = fresh_state(n_dir), fresh_state(n_dir)
     for fn, (best_power, best_index) in zip(
         (synth_max_accumulate, reference_synth_max), states
     ):
         fn(gains, phasors, best_power, best_index, 0)
+    assert_same_bits(*states)
+
+
+def test_carried_best_beyond_float32_after_normalizing():
+    # the first call leaves powers near 1e60; the second call's norm is
+    # near 1e-60, so those powers are near 1e120 in its float32 units.
+    # They must read as out of reach, with no overflow warning. Where the
+    # first call's gains are zero, the second call wins.
+    gains, phasors = random_problem(4, 61, 300, seed=30)
+    strong = gains * 1e30
+    strong[:, ::5] = 0.0
+    states = fresh_state(61), fresh_state(61)
+    for fn, (best_power, best_index) in zip(
+        (synth_max_accumulate, reference_synth_max), states
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fn(strong, phasors, best_power, best_index, 0)
+            fn(gains * 1e-30, phasors[::-1], best_power, best_index, 300)
+    assert np.all((states[1][1] >= 300) == (np.arange(61) % 5 == 0))
     assert_same_bits(*states)
 
 

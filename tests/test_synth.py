@@ -1,6 +1,9 @@
 import cmath
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -295,3 +298,40 @@ def test_plan_from_config_errors():
         plan_from_config(
             {"bits": 9, "sub_arrays": [{"label": "x", "feeds": ["1V"]}]}, feeds
         )
+
+
+_SYNTHESIZE_ONE_WEIGHT = """
+import sys
+import numpy as np
+from arraycov.grid import make_regular_grid
+from arraycov.pattern import ElementPatternSet
+from arraycov.synth import SubArraySpec, WeightVector, synthesize
+grid = make_regular_grid(1.0, 10.0)
+shape = (4, len(grid), 2)
+rng = np.random.default_rng(100)
+pset = ElementPatternSet(
+    grid, ("a", "b", "c", "d"), rng.normal(size=shape) + 1j * rng.normal(size=shape)
+)
+w = WeightVector((0.0, 22.5, 135.0, 270.0), 0.5)
+sys.stdout.write(synthesize(pset, SubArraySpec("s", (0, 1, 2, 3)), w).fields.tobytes().hex())
+"""
+
+
+def test_synthesize_bytes_do_not_depend_on_blas_threads():
+    # one weight over the 6446 directions of the 1 deg x 10 deg grid; as a
+    # 1-row product (a gemv) directions 3222 and 6445 differed between 1
+    # and 2 OpenBLAS threads
+    default = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    fields = []
+    for env in ({**default, "OPENBLAS_NUM_THREADS": "1"}, default):
+        proc = subprocess.run(
+            [sys.executable, "-c", _SYNTHESIZE_ONE_WEIGHT],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        fields.append(np.frombuffer(bytes.fromhex(proc.stdout), dtype=np.int64))
+    one, two = fields
+    assert one.size == 6446 * 2 * 2
+    np.testing.assert_array_equal(one, two)
