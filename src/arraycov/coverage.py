@@ -94,7 +94,7 @@ class CoverageResult:
         c = np.ascontiguousarray(self.cdf, dtype=np.float64)
         if g.ndim != 1 or g.shape != c.shape or g.size == 0:
             raise ValueError("gain_db and cdf must be equal-length 1-D arrays")
-        if np.any(np.diff(g) <= 0.0):
+        if np.any(g[1:] <= g[:-1]):
             raise ValueError("gain_db must be strictly increasing")
         if np.any(np.diff(c) <= 0.0) or c[0] <= 0.0 or abs(c[-1] - 1.0) > 1e-9:
             raise ValueError("cdf must increase to 1")
