@@ -61,9 +61,7 @@ from .materials import (
 )
 from .pattern import (
     ElementPatternSet,
-    PolarimetricSample,
     load_pattern_csv,
-    power_gain_db,
     resample,
     save_pattern_csv,
 )
@@ -95,7 +93,6 @@ __all__ = [
     "MaterialRangeError",
     "MaterialRecord",
     "ParseError",
-    "PolarimetricSample",
     "PortLossTable",
     "SphericalGrid",
     "SubArraySpec",
@@ -122,7 +119,6 @@ __all__ = [
     "percentile_gain",
     "permittivity_at",
     "plan_from_config",
-    "power_gain_db",
     "reflection_db",
     "resample",
     "save_cdf_csv",

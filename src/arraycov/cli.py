@@ -5,8 +5,7 @@ compare, reflect), all driven by a single JSON config file plus a few
 override flags. Outputs are deterministic: identical inputs and config
 produce byte-identical files, so runs can be diffed.
 
-Exit codes: 0 success, 2 configuration error, 3 input-data parse
-error, 4 numeric/estimation error.
+Exit codes: 0 on success; EXIT_CODES maps each error to its code.
 """
 
 import argparse
@@ -36,9 +35,15 @@ from .ioutil import format_float, write_csv, write_json
 from .kernels import synthesize_fields
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_PARSE = 3
-EXIT_NUMERIC = 4
+
+# (exception types, exit code, label); main reports an error by the first
+# row that matches it and re-raises one that no row matches
+EXIT_CODES = (
+    (ParseError, 3, "parse error"),
+    ((EstimationError, MaterialRangeError, ArithmeticError), 4, "numeric error"),
+    ((ConfigError, CapacityError, FileNotFoundError, KeyError, TypeError, ValueError),
+     2, "configuration error"),
+)
 
 DEFAULT_LEVELS = (0.1, 0.5)
 
@@ -73,7 +78,10 @@ def _output_dir(config):
     out = _require(config, "output_dir")
     if not isinstance(out, str) or not out:
         raise ConfigError(f"output_dir must be a non-empty path, got {out!r}")
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output_dir {out!r}: {exc.strerror}") from exc
     return out
 
 
@@ -345,11 +353,11 @@ def cmd_compare(config) -> int:
     result_a = cov.load_cdf_csv(_input_file(config, "cdf_a"))
     result_b = cov.load_cdf_csv(_input_file(config, "cdf_b"))
     levels = _levels(config)
-    rows = []
-    for p in levels:
-        a = cov.percentile_gain(result_a, p)
-        b = cov.percentile_gain(result_b, p)
-        rows.append((p, a, b, a - b))
+    deltas = cov.compare_cdfs(result_a, result_b, levels)
+    rows = [
+        (p, cov.percentile_gain(result_a, p), cov.percentile_gain(result_b, p), d)
+        for p, d in zip(levels, deltas)
+    ]
     out = _output_dir(config)
     write_csv(
         os.path.join(out, "compare.csv"),
@@ -453,18 +461,12 @@ def main(argv=None) -> int:
         config = _load_config(args.config)
         _apply_overrides(config, args)
         return _COMMANDS[args.command](config)
-    except ConfigError as exc:
-        print(f"arraycov: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ParseError as exc:
-        print(f"arraycov: parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (EstimationError, MaterialRangeError, ArithmeticError) as exc:
-        print(f"arraycov: numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (CapacityError, FileNotFoundError, KeyError, ValueError) as exc:
-        print(f"arraycov: configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except Exception as exc:
+        for types, code, label in EXIT_CODES:
+            if isinstance(exc, types):
+                print(f"arraycov: {label}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

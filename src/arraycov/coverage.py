@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ParseError
 from .grid import SphericalGrid, regular_ring_structure
-from .ioutil import parse_floats, table_rows, write_csv
+from .ioutil import float_table, write_csv
 from .kernels import synth_max_accumulate
 from .pattern import ElementPatternSet
 from .synth import SynthesisPlan, enumerate_weights
@@ -201,12 +201,7 @@ def save_cdf_csv(result: CoverageResult, path) -> None:
 
 
 def load_cdf_csv(path) -> CoverageResult:
-    rows = [
-        parse_floats(cells, path, row) for row, cells in table_rows(path, CDF_CSV_HEADER)
-    ]
-    if not rows:
-        raise ParseError("no entries", path=path)
-    gains, cdf = np.array(rows).T
+    gains, cdf = float_table(path, CDF_CSV_HEADER)
     try:
         return CoverageResult(gains, cdf)
     except ValueError as exc:

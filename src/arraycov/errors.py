@@ -1,8 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto distinct exit codes (config=2, parse=3,
-numeric/domain=4); a plain ValueError or KeyError, like a CapacityError
-or a missing file, maps to 2, and an ArithmeticError to 4.
+The CLI maps these, and the builtin errors it reports, onto exit codes
+through the table cli.EXIT_CODES.
 """
 
 

@@ -11,12 +11,12 @@ every full-sphere grid closes to 4*pi up to rounding.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParseError
-from .ioutil import parse_floats, table_rows, write_csv
+from .ioutil import float_table, write_csv
 
 FULL_SPHERE_SR = 4.0 * math.pi
 
@@ -47,8 +47,8 @@ def direction_keys(theta_deg, phi_deg):
     """Lookup keys of 1-D arrays of directions: theta and phi rounded to
     9 decimals, with phi wrapped into [0, 360) and set to 0 at the poles.
 
-    Grid lookup, the grid's duplicate check and the pattern reader all
-    key directions with this one function.
+    The grid's duplicate check and the pattern reader both key
+    directions with this one function.
     """
     theta = np.asarray(theta_deg, dtype=np.float64)
     phi = np.where(_is_pole(theta), 0.0, np.asarray(phi_deg, dtype=np.float64) % 360.0)
@@ -89,8 +89,6 @@ class SphericalGrid:
     kind: str
     theta_step_deg: float | None = None
     phi_step_deg: float | None = None
-    # direction key -> position, built on the first index_of call
-    _index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         theta = np.ascontiguousarray(self.theta_deg, dtype=np.float64)
@@ -119,19 +117,6 @@ class SphericalGrid:
 
     def __len__(self):
         return self.theta_deg.size
-
-    def direction(self, i):
-        return Direction(self.theta_deg[i], self.phi_deg[i])
-
-    def index_of(self, direction: Direction) -> int:
-        if not self._index:
-            key_t, key_p = direction_keys(self.theta_deg, self.phi_deg)
-            self._index.update(zip(zip(key_t.tolist(), key_p.tolist()), range(len(self))))
-        key_t, key_p = direction_keys([direction.theta_deg], [direction.phi_deg])
-        key = (key_t.item(), key_p.item())
-        if key not in self._index:
-            raise KeyError(f"direction {direction} not on grid")
-        return self._index[key]
 
     def same_directions(self, other: "SphericalGrid") -> bool:
         return np.array_equal(self.theta_deg, other.theta_deg) and np.array_equal(
@@ -308,13 +293,7 @@ def save_grid_csv(grid: SphericalGrid, path) -> None:
 
 def load_grid_csv(path) -> SphericalGrid:
     """Read a grid CSV (theta_deg, phi_deg, weight_sr with header)."""
-    rows = [
-        parse_floats(cells, path, row, finite=True)
-        for row, cells in table_rows(path, GRID_CSV_HEADER)
-    ]
-    if not rows:
-        raise ParseError("no samples", path=path)
-    thetas, phis, weights = np.array(rows).T
+    thetas, phis, weights = float_table(path, GRID_CSV_HEADER, finite=True)
     steps = detect_regular_steps(thetas, phis)
     kind = KIND_REGULAR if steps else KIND_UNIFORM
     try:

@@ -131,11 +131,25 @@ def parse_floats(cells, path, row, finite=False):
     return values
 
 
+def float_table(path, header, finite=False):
+    """The columns of an all-numeric CSV table, as one (columns, rows)
+    float array; ParseError where parse_floats fails or the table has
+    no data rows."""
+    rows = [
+        parse_floats(cells, path, row, finite=finite)
+        for row, cells in table_rows(path, header)
+    ]
+    if not rows:
+        raise ParseError("no entries", path=path)
+    return np.array(rows).T
+
+
 def read_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:
+        # JSONDecodeError, UnicodeDecodeError, or an int over the digit limit
         raise ParseError(f"invalid JSON: {exc}", path=path) from exc
 
 

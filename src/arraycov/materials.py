@@ -17,7 +17,7 @@ from importlib import resources
 import numpy as np
 
 from .errors import MaterialRangeError, ParseError
-from .ioutil import parse_floats, table_rows
+from .ioutil import float_table
 
 # speed of light in mm/s; frequencies are GHz, lengths mm
 C_MM_PER_S = 299_792_458_000.0
@@ -209,13 +209,7 @@ MATERIAL_CSV_HEADER = ["frequency_ghz", "eps_real", "eps_imag"]
 def load_material_csv(path, name=None) -> MaterialRecord:
     if name is None:
         name = os.path.splitext(os.path.basename(os.fspath(path)))[0]
-    rows = [
-        parse_floats(cells, path, row, finite=True)
-        for row, cells in table_rows(path, MATERIAL_CSV_HEADER)
-    ]
-    if not rows:
-        raise ParseError("no entries", path=path)
-    freqs, er, ei = np.array(rows).T
+    freqs, er, ei = float_table(path, MATERIAL_CSV_HEADER, finite=True)
     try:
         return MaterialRecord(name, freqs, er, ei)
     except ValueError as exc:

@@ -6,15 +6,14 @@ array synthesis sums fields coherently and is linear in them.
 """
 
 import csv
-import math
 import os
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ParseError
 from .grid import (
-    Direction,
     SphericalGrid,
     _is_pole,
     detect_regular_steps,
@@ -46,18 +45,6 @@ PATTERN_CSV_HEADER = [
 
 # complex disagreement above this between duplicate pole rows is an error
 _POLE_MERGE_ATOL = 1e-7
-
-
-@dataclass(frozen=True)
-class PolarimetricSample:
-    """Complex field-gain pair for one direction: (theta-pol, phi-pol)."""
-
-    g_theta: complex
-    g_phi: complex
-
-    @property
-    def power_gain(self) -> float:
-        return abs(self.g_theta) ** 2 + abs(self.g_phi) ** 2
 
 
 @dataclass(frozen=True)
@@ -96,27 +83,10 @@ class ElementPatternSet:
         except ValueError:
             raise KeyError(f"unknown feed {feed!r}") from None
 
-    def sample(self, feed, direction: Direction) -> PolarimetricSample:
-        fi = self.feed_index(feed)
-        di = self.grid.index_of(direction)
-        return PolarimetricSample(
-            complex(self.gains[fi, di, 0]), complex(self.gains[fi, di, 1])
-        )
-
     def power_gain(self, feed) -> np.ndarray:
         """Linear power gain |g_theta|^2 + |g_phi|^2 for every direction."""
         g = self.gains[self.feed_index(feed)]
         return np.abs(g[:, 0]) ** 2 + np.abs(g[:, 1]) ** 2
-
-    def select_feeds(self, feeds) -> "ElementPatternSet":
-        idx = [self.feed_index(f) for f in feeds]
-        return replace(self, feeds=tuple(feeds), gains=self.gains[idx])
-
-
-def power_gain_db(pattern_set: ElementPatternSet, feed, direction: Direction) -> float:
-    """10*log10 of the polarization-summed power gain; -inf for zero field."""
-    p = pattern_set.sample(feed, direction).power_gain
-    return 10.0 * math.log10(p) if p > 0.0 else -math.inf
 
 
 def sidecar_path(csv_path) -> str:
@@ -312,10 +282,17 @@ def load_pattern_csv(path) -> ElementPatternSet:
     meta_path = sidecar_path(path)
     if os.path.exists(meta_path):
         meta = read_json(meta_path)
-        frequency = float(meta.get("frequency_ghz", frequency))
+        if not isinstance(meta, dict):
+            raise ParseError("sidecar root must be a JSON object", path=meta_path)
+        frequency = meta.get("frequency_ghz", frequency)
+        # bool is an int; nan, infinities and ints beyond any float fail the bound
+        if type(frequency) not in (int, float) or not abs(frequency) <= sys.float_info.max:
+            raise ParseError(
+                f"frequency_ghz must be a finite number, got {frequency!r}", path=meta_path
+            )
         convention = str(meta.get("convention", convention))
     return ElementPatternSet(
-        grid, tuple(feeds), gains, frequency_ghz=frequency, convention=convention
+        grid, tuple(feeds), gains, frequency_ghz=float(frequency), convention=convention
     )
 
 

@@ -537,6 +537,62 @@ def test_bad_window_center_exits_2(tmp_path):
     assert main(["deembed", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("grid", {"grid": {"kind": "regular", "theta_step_deg": "1", "phi_step_deg": 10}}),
+        ("reflect", {"stack": {"layers": [{"material": "ldpe_film", "thickness_mm": None}]},
+                     "frequencies_ghz": [28.0]}),
+        ("reflect", {"stack": {"layers": [{"material": "ldpe_film", "thickness_mm": 0.1}]},
+                     "frequencies_ghz": [None]}),
+        ("reflect", {"stack": {"layers": [{"material": "ldpe_film", "thickness_mm": 0.1}]},
+                     "frequencies_ghz": [28.0], "incidence_deg": None}),
+    ],
+    ids=["theta_step_str", "thickness_null", "frequency_null", "incidence_null"],
+)
+def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, payload):
+    cfg = write_config(tmp_path, {**payload, "output_dir": str(tmp_path / "out")})
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("under", [False, True])
+def test_unusable_output_dir_exits_2(tmp_path, capsys, under):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / "out" if under else blocker
+    cfg = write_config(
+        tmp_path, {"grid": {"kind": "uniform-sphere", "points": 40}, "output_dir": str(out)}
+    )
+    assert main(["grid", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: cannot create output_dir {str(out)!r}" in err
+    assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize(
+    "sidecar",
+    [
+        '{"frequency_ghz": null}',
+        "[1, 2]",
+        '{"frequency_ghz": "abc"}',
+        '{"frequency_ghz": 1e999}',
+        '{"frequency_ghz": ' + "9" * 5000 + "}",
+    ],
+    ids=["null", "array", "string", "infinite", "int_over_digit_limit"],
+)
+def test_malformed_pattern_sidecar_exits_3(tmp_path, capsys, sidecar):
+    out = tmp_path / "out"
+    cfg = coverage_config(tmp_path, out)
+    (tmp_path / "elements.json").write_text(sidecar)
+    assert main(["coverage", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "parse error" in err and str(tmp_path / "elements.json") in err
+    assert not out.exists()
+
+
 def test_module_entry_point(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(

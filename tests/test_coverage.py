@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from arraycov.coverage import (
+    WEIGHTING_SAMPLE_COUNT,
+    WEIGHTING_SOLID_ANGLE,
     CoverageResult,
     GainMap,
     compare_cdfs,
@@ -229,6 +234,31 @@ def test_cdf_monotone_and_normalized():
     assert result.cdf[-1] == pytest.approx(1.0, abs=1e-12)
     assert result.cdf_at(-math.inf) == 0.0
     assert result.cdf_at(math.inf) == 1.0
+
+
+CDF_GRIDS = (
+    make_regular_grid(30.0, 90.0),
+    make_regular_grid(10.0, 30.0),
+    make_uniform_sphere_grid(60),
+    make_uniform_sphere_grid(301),
+)
+# a few shared values make ties; zero gains are -inf dB
+map_gains = st.sampled_from([0.0, 5e-324, 0.5, 1.0, 3.0]) | st.floats(0.0, 1e300)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    grid=st.sampled_from(CDF_GRIDS),
+    weighting=st.sampled_from([WEIGHTING_SOLID_ANGLE, WEIGHTING_SAMPLE_COUNT]),
+    data=st.data(),
+)
+def test_cdf_strictly_increasing_to_one_property(grid, weighting, data):
+    gmap = GainMap(grid, data.draw(arrays(np.float64, len(grid), elements=map_gains)))
+    result = coverage_cdf(gmap, weighting=weighting)
+    np.testing.assert_array_equal(result.gain_db, np.unique(gmap.gain_db()))
+    assert np.all(np.diff(result.gain_db) > 0.0)
+    assert np.all(np.diff(result.cdf) > 0.0) and result.cdf[0] > 0.0
+    assert abs(result.cdf[-1] - 1.0) <= 1e-9
 
 
 def test_cdf_permutation_invariant():

@@ -1,5 +1,7 @@
 import cmath
+import importlib.util
 import math
+import os
 
 import numpy as np
 import pytest
@@ -272,3 +274,14 @@ def test_builtin_materials():
     assert builtin_material("air") is AIR
     with pytest.raises(KeyError):
         builtin_material("unobtainium")
+
+
+def test_skin_fit_script_reproduces_shipped_record():
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts", "fit_skin_permittivity.py")
+    spec = importlib.util.spec_from_file_location("fit_skin_permittivity", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    eps = script.fit()
+    # the record stores eps = eps_real - j*eps_imag
+    assert (eps.real, -eps.imag) == (SKIN.eps_real[0], SKIN.eps_imag[0])
+    assert SKIN.frequency_ghz.tolist() == [script.F_GHZ]

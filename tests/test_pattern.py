@@ -7,10 +7,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from arraycov.errors import ParseError
 from arraycov.grid import (
-    Direction,
+    SphericalGrid,
     _is_pole,
     detect_regular_steps,
     make_regular_grid,
@@ -19,10 +22,8 @@ from arraycov.grid import (
 from arraycov.pattern import (
     _POLE_MERGE_ATOL,
     ElementPatternSet,
-    PolarimetricSample,
     _parse_pattern_rows,
     load_pattern_csv,
-    power_gain_db,
     resample,
     save_pattern_csv,
     sidecar_path,
@@ -111,7 +112,8 @@ def test_pole_rows_deduplicate(tmp_path):
     path.write_text("\n".join(rows) + "\n")
     loaded = load_pattern_csv(path)
     assert len(loaded.grid) == 6
-    assert loaded.sample("a", Direction(0.0)).g_theta == 1.0
+    # grid order is ascending theta, so the north pole is direction 0
+    assert loaded.gains[0, 0, 0] == 1.0
 
 
 def test_conflicting_pole_rows_rejected(tmp_path):
@@ -201,18 +203,15 @@ def test_power_gain_db_identities():
     gains[1, :, 0] = 1.0
     gains[1, :, 1] = 1.0
     pset = ElementPatternSet(grid, ("unit", "both", "null"), gains)
-    d = Direction(90.0, 0.0)
-    assert power_gain_db(pset, "unit", d) == 0.0
-    assert power_gain_db(pset, "both", d) == pytest.approx(10 * math.log10(2.0))
-    assert power_gain_db(pset, "null", d) == -math.inf
+    assert np.all(10 * np.log10(pset.power_gain("unit")) == 0.0)
+    np.testing.assert_allclose(10 * np.log10(pset.power_gain("both")), 10 * math.log10(2.0))
+    assert np.all(pset.power_gain("null") == 0.0)
 
 
 def test_power_gain_lookup_errors():
     pset = random_set()
-    with pytest.raises(KeyError):
-        power_gain_db(pset, "nope", Direction(90.0, 0.0))
-    with pytest.raises(KeyError):
-        power_gain_db(pset, pset.feeds[0], Direction(1.0, 2.0))
+    with pytest.raises(KeyError, match="unknown feed 'nope'"):
+        pset.power_gain("nope")
 
 
 def test_power_gain_phase_invariant():
@@ -224,19 +223,6 @@ def test_power_gain_phase_invariant():
         np.testing.assert_allclose(
             rotated.power_gain(feed), pset.power_gain(feed), rtol=1e-12
         )
-
-
-def test_polarimetric_sample_power():
-    s = PolarimetricSample(1 + 1j, 2.0)
-    assert s.power_gain == pytest.approx(6.0)
-
-
-def test_select_feeds():
-    pset = random_set(n_feeds=4, seed=1)
-    sub = pset.select_feeds(("2H", "1V"))
-    assert sub.feeds == ("2H", "1V")
-    np.testing.assert_array_equal(sub.gains[0], pset.gains[1])
-    np.testing.assert_array_equal(sub.gains[1], pset.gains[0])
 
 
 def test_validation_rejects_bad_sets():
@@ -267,6 +253,42 @@ def test_resample_constant_everywhere():
     out = resample(pset, target)
     np.testing.assert_allclose(out.gains, 2.0 + 0.0j, rtol=1e-12)
     assert out.grid is target
+
+
+source_steps = st.sampled_from([(90.0, 180.0), (30.0, 90.0), (15.0, 45.0), (10.0, 30.0)])
+# normal or zero: a subnormal constant has no relative accuracy to keep
+field_parts = st.just(0.0) | st.floats(1e-300, 1e300) | st.floats(-1e300, -1e-300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=source_steps, data=st.data())
+def test_resample_same_directions_same_bits_property(steps, data):
+    grid = make_regular_grid(*steps)
+    parts = data.draw(arrays(np.float64, (2, len(grid), 4), elements=st.floats(-1e308, 1e308)))
+    pset = ElementPatternSet(grid, ("a", "b"), parts.view(np.complex128))
+    target = SphericalGrid(grid.theta_deg, grid.phi_deg, grid.weight_sr, kind="uniform-sphere")
+    out = resample(pset, target)
+    assert out.grid is target
+    np.testing.assert_array_equal(out.gains.view(np.int64), pset.gains.view(np.int64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    steps=source_steps,
+    value=st.builds(complex, field_parts, field_parts),
+    # distinct micro-degree thetas never share a 9-decimal direction key
+    theta=arrays(np.float64, 40, elements=st.integers(0, 180_000_000).map(lambda k: k / 1e6),
+                 unique=True),
+    phi=arrays(np.float64, 40, elements=st.floats(-1e3, 1e3)),
+)
+def test_resample_constant_field_property(steps, value, theta, phi):
+    grid = make_regular_grid(*steps)
+    pset = ElementPatternSet(grid, ("a",), np.full((1, len(grid), 2), value))
+    target = SphericalGrid(theta, phi, np.ones(theta.size), kind="uniform-sphere")
+    out = resample(pset, target)
+    eps = np.finfo(np.float64).eps
+    for part in (np.real, np.imag):
+        assert np.all(np.abs(part(out.gains) - part(value)) <= 4 * eps * abs(part(value)))
 
 
 def test_resample_matches_direct_formula():
@@ -558,7 +580,8 @@ def test_underscore_digits_accepted(tmp_path):
     rows = _minimal_rows()
     rows[1] = "a,90.0,0.0,1_0,0.5,0.0,-1.0"
     loaded = load_pattern_csv(_write_rows(tmp_path, rows))
-    assert loaded.sample("a", Direction(90.0, 0.0)).g_theta == 10.0 + 0.5j
+    # the grid's direction 1 is (90, 0), after the north pole
+    assert loaded.gains[0, 1, 0] == 10.0 + 0.5j
 
 
 def test_header_only_file_has_no_samples_and_no_warning(tmp_path):
