@@ -31,7 +31,7 @@ from .grid import (
     regular_ring_structure,
     save_grid_csv,
 )
-from .ioutil import format_float, write_csv, write_json
+from .ioutil import config_value, format_float, write_csv, write_json
 from .kernels import synthesize_fields
 
 EXIT_OK = 0
@@ -61,22 +61,16 @@ def _load_config(path):
     return config
 
 
-def _require(config, key):
-    if key not in config:
-        raise ConfigError(f"config is missing required key {key!r}")
-    return config[key]
-
-
 def _input_file(config, key):
-    path = _require(config, key)
-    if not isinstance(path, str) or not os.path.isfile(path):
+    path = config_value(config, key, "str")
+    if not os.path.isfile(path):
         raise ConfigError(f"config key {key!r} must name an existing file, got {path!r}")
     return path
 
 
 def _output_dir(config):
-    out = _require(config, "output_dir")
-    if not isinstance(out, str) or not out:
+    out = config_value(config, "output_dir", "str")
+    if not out:
         raise ConfigError(f"output_dir must be a non-empty path, got {out!r}")
     try:
         os.makedirs(out, exist_ok=True)
@@ -85,111 +79,91 @@ def _output_dir(config):
     return out
 
 
-def _build_grid(spec):
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"grid spec must be an object with a kind, got {spec!r}")
-    kind = spec["kind"]
-    try:
-        if kind == "regular":
-            return make_regular_grid(
-                _require(spec, "theta_step_deg"), _require(spec, "phi_step_deg")
-            )
-        if kind == "uniform-sphere":
-            return make_uniform_sphere_grid(_require(spec, "points"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _build_grid(config, key):
+    spec = config_value(config, key, "object")
+    kind = config_value(spec, "kind", "str")
+    if kind == "regular":
+        return make_regular_grid(
+            config_value(spec, "theta_step_deg", "number"),
+            config_value(spec, "phi_step_deg", "number"),
+        )
+    if kind == "uniform-sphere":
+        return make_uniform_sphere_grid(config_value(spec, "points", "int"))
     raise ConfigError(f"unknown grid kind {kind!r}")
 
 
 def _levels(config):
-    levels = config.get("levels", list(DEFAULT_LEVELS))
-    if not isinstance(levels, list) or not levels:
-        raise ConfigError(f"levels must be a non-empty list, got {levels!r}")
-    out = []
-    for p in levels:
-        p = float(p)
-        if not (0.0 < p < 1.0):
-            raise ConfigError(f"percentile levels must be in (0, 1), got {p}")
-        out.append(p)
-    return out
+    levels = config_value(config, "levels", "number list", list(DEFAULT_LEVELS))
+    if not levels or not all(0.0 < p < 1.0 for p in levels):
+        raise ConfigError(f"levels must be a non-empty list in (0, 1), got {levels}")
+    return levels
 
 
 def _windows(config, feeds):
-    spec = _require(config, "windows")
-    if not isinstance(spec, dict):
-        raise ConfigError("windows must map feed labels to window objects")
-    default_hw = float(config.get("window_halfwidth_deg", deembed.DEFAULT_WINDOW_HALFWIDTH_DEG))
+    spec = config_value(config, "windows", "object")
+    default_hw = config_value(
+        config, "window_halfwidth_deg", "number", deembed.DEFAULT_WINDOW_HALFWIDTH_DEG
+    )
     windows = {}
     for feed in feeds:
         if feed not in spec:
             raise ConfigError(f"no beam window configured for feed {feed!r}")
-        entry = spec[feed]
-        if not isinstance(entry, dict) or "center_theta_deg" not in entry:
-            raise ConfigError(f"window for feed {feed!r} needs center_theta_deg")
+        entry = config_value(spec, feed, "object")
+        theta = config_value(entry, "center_theta_deg", "number")
+        phi = config_value(entry, "center_phi_deg", "number", 0.0)
+        half_width = config_value(entry, "half_width_deg", "number", default_hw)
         try:
-            center = Direction(
-                float(entry["center_theta_deg"]),
-                float(entry.get("center_phi_deg", 0.0)),
-            )
-            windows[feed] = deembed.BeamWindow(
-                center, float(entry.get("half_width_deg", default_hw))
-            )
+            windows[feed] = deembed.BeamWindow(Direction(theta, phi), half_width)
         except ValueError as exc:
             raise ConfigError(f"window for feed {feed!r}: {exc}") from exc
     return windows
 
 
-def _material(ref, what):
+def _material(spec, key, what, default=None):
+    """The material a builtin name or a {"path", "name"} object names."""
+    ref = config_value(spec, key, ("str", "object"), default)
     if isinstance(ref, str):
         try:
             return materials.builtin_material(ref)
         except KeyError:
             raise ConfigError(f"{what}: no builtin material {ref!r}") from None
-    if isinstance(ref, dict) and "path" in ref:
-        path = ref["path"]
-        if not os.path.isfile(path):
-            raise ConfigError(f"{what}: material file not found: {path}")
-        return materials.load_material_csv(path, name=ref.get("name"))
-    raise ConfigError(f"{what} must be a builtin name or an object with a path")
+    path = config_value(ref, "path", "str")
+    if not os.path.isfile(path):
+        raise ConfigError(f"{what}: material file not found: {path}")
+    return materials.load_material_csv(path, name=config_value(ref, "name", "str", None))
 
 
 def _stack(config):
-    spec = _require(config, "stack")
-    if not isinstance(spec, dict) or "layers" not in spec or not spec["layers"]:
-        raise ConfigError("stack must be an object with a non-empty layers list")
+    spec = config_value(config, "stack", "object")
+    entries = config_value(spec, "layers", "object list")
+    if not entries:
+        raise ConfigError("stack layers must be a non-empty list")
     layers = []
-    for i, entry in enumerate(spec["layers"]):
-        if not isinstance(entry, dict) or "material" not in entry:
-            raise ConfigError(f"stack layer {i} needs material and thickness_mm")
+    for i, entry in enumerate(entries):
+        material = _material(entry, "material", f"stack layer {i}")
+        thickness = config_value(entry, "thickness_mm", "number")
         try:
-            layers.append(
-                materials.Layer(
-                    _material(entry["material"], f"stack layer {i}"),
-                    float(_require(entry, "thickness_mm")),
-                )
-            )
+            layers.append(materials.Layer(material, thickness))
         except ValueError as exc:
             raise ConfigError(f"stack layer {i}: {exc}") from exc
     return materials.LayerStack(
         tuple(layers),
-        incident=_material(spec.get("incident", "air"), "stack incident medium"),
-        substrate=_material(spec.get("substrate", "air"), "stack substrate"),
+        incident=_material(spec, "incident", "stack incident medium", "air"),
+        substrate=_material(spec, "substrate", "stack substrate", "air"),
     )
 
 
 def _frequencies(config):
-    spec = _require(config, "frequencies_ghz")
-    if isinstance(spec, list) and spec:
-        return [float(f) for f in spec]
-    if isinstance(spec, dict):
-        start = float(_require(spec, "start"))
-        stop = float(_require(spec, "stop"))
-        step = float(_require(spec, "step"))
-        if step <= 0.0 or stop < start:
-            raise ConfigError(f"bad frequency sweep: start={start} stop={stop} step={step}")
-        count = int(round((stop - start) / step)) + 1
-        return [start + i * step for i in range(count)]
-    raise ConfigError("frequencies_ghz must be a list or a start/stop/step object")
+    spec = config_value(config, "frequencies_ghz", ("number list", "object"))
+    if isinstance(spec, list):
+        if not spec:
+            raise ConfigError("frequencies_ghz must be a non-empty list")
+        return spec
+    start, stop, step = (config_value(spec, k, "number") for k in ("start", "stop", "step"))
+    if step <= 0.0 or stop < start:
+        raise ConfigError(f"bad frequency sweep: start={start} stop={stop} step={step}")
+    count = int(round((stop - start) / step)) + 1
+    return [start + i * step for i in range(count)]
 
 
 def _load_pattern_input(config):
@@ -207,7 +181,7 @@ def _load_pattern_input(config):
 
 
 def cmd_grid(config) -> int:
-    grid = _build_grid(_require(config, "grid"))
+    grid = _build_grid(config, "grid")
     out = _output_dir(config)
     save_grid_csv(grid, os.path.join(out, "grid.csv"))
     write_json(
@@ -227,13 +201,12 @@ def cmd_deembed(config) -> int:
     simulated = pattern.load_pattern_csv(_input_file(config, "simulated"))
     measured = pattern.load_pattern_csv(_input_file(config, "measured"))
     windows = _windows(config, simulated.feeds)
-    floor_db = float(config.get("floor_db", deembed.DEFAULT_FLOOR_DB))
     table = deembed.estimate_losses(
         simulated,
         measured,
         windows,
-        floor_db=floor_db,
-        linear_mean=bool(config.get("linear_mean", False)),
+        floor_db=config_value(config, "floor_db", "number", deembed.DEFAULT_FLOOR_DB),
+        linear_mean=config_value(config, "linear_mean", "bool", False),
     )
     out = _output_dir(config)
     deembed.save_loss_csv(table, os.path.join(out, "losses.csv"))
@@ -241,12 +214,13 @@ def cmd_deembed(config) -> int:
 
 
 def _plan(config, pattern_set):
-    return synth.plan_from_config(_require(config, "plan"), pattern_set.feeds)
+    return synth.plan_from_config(config_value(config, "plan", "object"), pattern_set.feeds)
 
 
 def cmd_synth(config) -> int:
     pattern_set = _load_pattern_input(config)
     plan = _plan(config, pattern_set)
+    dump = config_value(config, "dump_realizations", "bool", False)
     out = _output_dir(config)
     write_json(
         os.path.join(out, "realizations.json"),
@@ -263,7 +237,7 @@ def cmd_synth(config) -> int:
             ],
         },
     )
-    if config.get("dump_realizations", False):
+    if dump:
         _dump_realizations(pattern_set, plan, os.path.join(out, "realizations.csv"))
     return EXIT_OK
 
@@ -285,23 +259,17 @@ def cmd_coverage(config) -> int:
     pattern_set = _load_pattern_input(config)
     plan = _plan(config, pattern_set)
     levels = _levels(config)
-    weighting = config.get("weighting", cov.WEIGHTING_SOLID_ANGLE)
+    weighting = config_value(config, "weighting", "str", cov.WEIGHTING_SOLID_ANGLE)
+    cut_thetas = config_value(config, "cut_thetas_deg", "number list", [])
 
     if "coverage_grid" in config:
-        grid = _build_grid(config["coverage_grid"])
+        grid = _build_grid(config, "coverage_grid")
         if not grid.same_directions(pattern_set.grid):
             pattern_set = pattern.resample(pattern_set, grid)
     gain_map = cov.max_gain_over_plan(pattern_set, plan)
-    try:
-        result = cov.coverage_cdf(gain_map, weighting=weighting)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    result = cov.coverage_cdf(gain_map, weighting=weighting)
     percentiles = {format_float(p): cov.percentile_gain(result, p) for p in levels}
-
-    cut_thetas = config.get("cut_thetas_deg", [])
-    cuts = []
-    for theta in cut_thetas:
-        cuts.append((float(theta), _extract_cut(gain_map, float(theta))))
+    cuts = [(theta, _extract_cut(gain_map, theta)) for theta in cut_thetas]
 
     out = _output_dir(config)
     cov.save_gainmap_csv(gain_map, os.path.join(out, "gain_map.csv"))
@@ -378,17 +346,14 @@ def cmd_compare(config) -> int:
 def cmd_reflect(config) -> int:
     stack = _stack(config)
     freqs = _frequencies(config)
-    incidence = float(config.get("incidence_deg", 0.0))
-    polarization = config.get("polarization", materials.POL_TE)
-    extrapolate = bool(config.get("extrapolate", False))
+    incidence = config_value(config, "incidence_deg", "number", 0.0)
+    polarization = config_value(config, "polarization", "str", materials.POL_TE)
+    extrapolate = config_value(config, "extrapolate", "bool", False)
     rows = []
     for f in freqs:
-        try:
-            gamma = materials.layered_reflection(
-                stack, f, incidence, polarization, extrapolate=extrapolate
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        gamma = materials.layered_reflection(
+            stack, f, incidence, polarization, extrapolate=extrapolate
+        )
         rows.append((f, gamma.real, gamma.imag, materials.reflection_db(gamma)))
     out = _output_dir(config)
     write_csv(
@@ -399,13 +364,14 @@ def cmd_reflect(config) -> int:
     return EXIT_OK
 
 
+# subcommand: (function, the override flags it reads)
 _COMMANDS = {
-    "grid": cmd_grid,
-    "deembed": cmd_deembed,
-    "synth": cmd_synth,
-    "coverage": cmd_coverage,
-    "compare": cmd_compare,
-    "reflect": cmd_reflect,
+    "grid": (cmd_grid, ("--grid-points",)),
+    "deembed": (cmd_deembed, ()),
+    "synth": (cmd_synth, ("--bits",)),
+    "coverage": (cmd_coverage, ("--bits", "--grid-points", "--levels")),
+    "compare": (cmd_compare, ("--levels",)),
+    "reflect": (cmd_reflect, ()),
 }
 
 
@@ -416,42 +382,35 @@ def _parse_levels_flag(text):
         raise argparse.ArgumentTypeError(f"bad levels list {text!r}") from None
 
 
+_OVERRIDE_FLAGS = {
+    "--bits": (int, "override phase-shifter bit depth"),
+    "--grid-points": (int, "override: use a uniform-sphere grid with this target count"),
+    "--levels": (_parse_levels_flag, "override percentile levels, comma separated"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arraycov",
         description="Phased-array spherical-coverage evaluation pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--bits", type=int, help="override phase-shifter bit depth")
-        p.add_argument(
-            "--grid-points",
-            type=int,
-            help="override: use a uniform-sphere grid with this target count",
-        )
-        p.add_argument(
-            "--levels",
-            type=_parse_levels_flag,
-            help="override percentile levels, comma separated",
-        )
+        for flag in flags:
+            kind, text = _OVERRIDE_FLAGS[flag]
+            p.add_argument(flag, type=kind, help=text)
     return parser
 
 
 def _apply_overrides(config, args):
-    if args.bits is not None:
-        plan = config.setdefault("plan", {})
-        if not isinstance(plan, dict):
-            raise ConfigError("plan config must be an object")
-        plan["bits"] = args.bits
-    if args.grid_points is not None:
-        spec = {"kind": "uniform-sphere", "points": args.grid_points}
-        if args.command == "grid":
-            config["grid"] = spec
-        else:
-            config["coverage_grid"] = spec
-    if args.levels is not None:
+    if getattr(args, "bits", None) is not None:
+        config["plan"] = {**config_value(config, "plan", "object", {}), "bits": args.bits}
+    if getattr(args, "grid_points", None) is not None:
+        key = "grid" if args.command == "grid" else "coverage_grid"
+        config[key] = {"kind": "uniform-sphere", "points": args.grid_points}
+    if getattr(args, "levels", None) is not None:
         config["levels"] = args.levels
 
 
@@ -460,7 +419,7 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config)
         _apply_overrides(config, args)
-        return _COMMANDS[args.command](config)
+        return _COMMANDS[args.command][0](config)
     except Exception as exc:
         for types, code, label in EXIT_CODES:
             if isinstance(exc, types):

@@ -1,13 +1,15 @@
-"""Small I/O helpers shared by the CSV readers and writers."""
+"""Small I/O helpers: CSV and JSON readers and writers, typed config values."""
 
 import csv
 import io
 import json
 import math
+import reprlib
+import sys
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ConfigError, ParseError
 
 
 def format_float(value) -> str:
@@ -151,6 +153,51 @@ def read_json(path):
     except ValueError as exc:
         # JSONDecodeError, UnicodeDecodeError, or an int over the digit limit
         raise ParseError(f"invalid JSON: {exc}", path=path) from exc
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# JSON kinds of a config value: (a value is, the items of a list are, check);
+# a number is finite, and an int is one only within the float range
+_CONFIG_KINDS = {
+    "number": ("a finite number", "finite numbers",
+               lambda v: (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max),
+    "int": ("an integer", "integers", _is_int),
+    "bool": ("true or false", "booleans", lambda v: isinstance(v, bool)),
+    "str": ("a string", "strings", lambda v: isinstance(v, str)),
+    "object": ("an object", "objects", lambda v: isinstance(v, dict)),
+}
+
+_REQUIRED = object()
+
+
+def config_value(container, key, kind, default=_REQUIRED):
+    """container[key] if it is of the JSON kind, else ConfigError naming key.
+
+    kind is a key of _CONFIG_KINDS, "<kind> list", or a tuple of kinds
+    of which one must match. Numbers are returned as floats. A missing
+    key gives the default, or without one a ConfigError.
+    """
+    if key not in container:
+        if default is _REQUIRED:
+            raise ConfigError(f"config is missing required key {key!r}")
+        return default
+    value = container[key]
+    kinds = (kind,) if isinstance(kind, str) else kind
+    wanted = []
+    for k in kinds:
+        item_kind, _, of_list = k.partition(" ")
+        one, many, check = _CONFIG_KINDS[item_kind]
+        wanted.append(f"a list of {many}" if of_list else one)
+        if of_list and isinstance(value, list) and all(map(check, value)):
+            return [float(v) for v in value] if item_kind == "number" else value
+        if not of_list and check(value):
+            return float(value) if item_kind == "number" else value
+    raise ConfigError(
+        f"config key {key!r} must be {' or '.join(wanted)}, got {reprlib.repr(value)}"
+    )
 
 
 def write_json(path, payload) -> None:

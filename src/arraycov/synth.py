@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ConfigError
+from .ioutil import config_value
 from .kernels import synthesize_fields
 from .pattern import ElementPatternSet
 
@@ -64,11 +65,12 @@ class WeightVector:
 def weight_count(n_elements, bits) -> int:
     """Size of a sub-array's enumeration, 2^(bits*(N-1)).
 
-    Raises ValueError for bits outside [MIN_BITS, MAX_BITS] and
-    CapacityError above MAX_WEIGHTS.
+    Raises ValueError for bits that are not an integer (a bool is not) in
+    [MIN_BITS, MAX_BITS], and CapacityError above MAX_WEIGHTS.
     """
-    if not (MIN_BITS <= bits <= MAX_BITS):
-        raise ValueError(f"bits must be in [{MIN_BITS}, {MAX_BITS}], got {bits}")
+    is_int = isinstance(bits, (int, np.integer)) and not isinstance(bits, bool)
+    if not (is_int and MIN_BITS <= bits <= MAX_BITS):
+        raise ValueError(f"bits must be an integer in [{MIN_BITS}, {MAX_BITS}], got {bits!r}")
     count = 2 ** (bits * (n_elements - 1))
     if count > MAX_WEIGHTS:
         raise CapacityError(
@@ -85,7 +87,6 @@ def enumerate_weights(spec: SubArraySpec, bits) -> np.ndarray:
     Phases live on the {k*360/2^bits} lattice with element 0 pinned to
     phase 0 and amplitude 1/sqrt(N) on every element.
     """
-    bits = int(bits)
     n = spec.size
     count = weight_count(n, bits)
     codes = np.indices((2**bits,) * (n - 1)).reshape(n - 1, count).T
@@ -108,11 +109,9 @@ class SynthesisPlan:
         labels = [s.label for s in subs]
         if len(set(labels)) != len(labels):
             raise ValueError(f"sub-array labels must be unique: {labels}")
-        bits = int(self.bits)
         for s in subs:
-            weight_count(s.size, bits)
+            weight_count(s.size, self.bits)
         object.__setattr__(self, "sub_arrays", subs)
-        object.__setattr__(self, "bits", bits)
 
     @property
     def realization_count(self) -> int:
@@ -161,27 +160,22 @@ def synthesize(
 
 
 def plan_from_config(config: dict, feeds) -> SynthesisPlan:
-    """Build a plan from its JSON form, resolving feed labels to indices.
+    """Build a plan from its JSON object, resolving feed labels to indices.
 
     Expected shape: {"bits": 3, "sub_arrays": [{"label": ..., "feeds":
     [...]}, ...]} with feed labels drawn from the pattern set.
     """
-    if not isinstance(config, dict) or "sub_arrays" not in config:
-        raise ConfigError("plan config must be an object with a sub_arrays list")
     feeds = list(feeds)
     subs = []
-    for entry in config["sub_arrays"]:
-        if not isinstance(entry, dict) or "label" not in entry or "feeds" not in entry:
-            raise ConfigError(f"sub-array entry needs label and feeds: {entry!r}")
+    for entry in config_value(config, "sub_arrays", "object list"):
+        label = config_value(entry, "label", "str")
         indices = []
-        for label in entry["feeds"]:
-            if label not in feeds:
-                raise ConfigError(
-                    f"sub-array {entry['label']!r} references unknown feed {label!r}"
-                )
-            indices.append(feeds.index(label))
-        subs.append(SubArraySpec(str(entry["label"]), tuple(indices)))
+        for feed in config_value(entry, "feeds", "str list"):
+            if feed not in feeds:
+                raise ConfigError(f"sub-array {label!r} references unknown feed {feed!r}")
+            indices.append(feeds.index(feed))
+        subs.append(SubArraySpec(label, tuple(indices)))
     try:
-        return SynthesisPlan(tuple(subs), bits=config.get("bits", 3))
+        return SynthesisPlan(tuple(subs), bits=config_value(config, "bits", "int", 3))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -1,8 +1,10 @@
+import importlib
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -537,25 +539,89 @@ def test_bad_window_center_exits_2(tmp_path):
     assert main(["deembed", "--config", cfg]) == 2
 
 
+def runnable_config(tmp_path, command):
+    """A config, without output_dir, on which command exits 0."""
+    if command == "grid":
+        return {"grid": {"kind": "regular", "theta_step_deg": 30, "phi_step_deg": 90}}
+    if command == "reflect":
+        return {"stack": {"layers": [{"material": "ldpe_film", "thickness_mm": 0.1}]},
+                "frequencies_ghz": [28.0]}
+    if command == "deembed":
+        sim = smooth_pattern(["f0"], seed=6)
+        return {"simulated": pattern_file(tmp_path, sim, "sim.csv"),
+                "measured": pattern_file(tmp_path, sim, "meas.csv"),
+                "windows": {"f0": {"center_theta_deg": 90.0}}}
+    return {"pattern": pattern_file(tmp_path, smooth_pattern(["a", "b"])),
+            "plan": {"bits": 2, "sub_arrays": [{"label": "s", "feeds": ["a", "b"]}]}}
+
+
 @pytest.mark.parametrize(
-    "command, payload",
+    "command, path, value",
     [
-        ("grid", {"grid": {"kind": "regular", "theta_step_deg": "1", "phi_step_deg": 10}}),
-        ("reflect", {"stack": {"layers": [{"material": "ldpe_film", "thickness_mm": None}]},
-                     "frequencies_ghz": [28.0]}),
-        ("reflect", {"stack": {"layers": [{"material": "ldpe_film", "thickness_mm": 0.1}]},
-                     "frequencies_ghz": [None]}),
-        ("reflect", {"stack": {"layers": [{"material": "ldpe_film", "thickness_mm": 0.1}]},
-                     "frequencies_ghz": [28.0], "incidence_deg": None}),
+        ("grid", ("grid", "theta_step_deg"), "1"),
+        ("reflect", ("stack", "layers", 0, "thickness_mm"), None),
+        ("reflect", ("frequencies_ghz",), [None]),
+        ("reflect", ("incidence_deg",), None),
+        ("coverage", ("plan", "bits"), 2.5),
+        ("coverage", ("plan", "bits"), True),
+        ("deembed", ("linear_mean",), "false"),
+        ("reflect", ("extrapolate",), "false"),
+        ("synth", ("dump_realizations",), "false"),
+        ("coverage", ("cut_thetas_deg",), "90"),
+        ("synth", ("plan", "sub_arrays", 0, "feeds"), "ab"),
+        ("reflect", ("frequencies_ghz",), [math.nan]),
+        ("deembed", ("floor_db",), math.nan),
+        ("reflect", ("stack", "layers", 0, "thickness_mm"), 10**400),
     ],
-    ids=["theta_step_str", "thickness_null", "frequency_null", "incidence_null"],
+    ids=["theta_step_str", "thickness_null", "frequency_null", "incidence_null",
+         "bits_float", "bits_bool", "linear_mean_str", "extrapolate_str",
+         "dump_realizations_str", "cut_thetas_str", "feeds_str", "frequency_nan",
+         "floor_db_nan", "thickness_401_digits"],
 )
-def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, payload):
-    cfg = write_config(tmp_path, {**payload, "output_dir": str(tmp_path / "out")})
-    assert main([command, "--config", cfg]) == 2
+def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, path, value):
+    config = runnable_config(tmp_path, command)
+    cfg_ok = write_config(tmp_path, {**config, "output_dir": str(tmp_path / "ok")}, "ok.json")
+    assert main([command, "--config", cfg_ok]) == 0
+    container = config
+    for key in path[:-1]:
+        container = container[key]
+    container[path[-1]] = value
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, {**config, "output_dir": str(out)})]) == 2
     err = capsys.readouterr().err
-    assert "configuration error" in err
+    assert "configuration error" in err and repr(path[-1]) in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("reflect", "--bits", "3"), ("grid", "--levels", "0.5"),
+     ("compare", "--grid-points", "40"), ("deembed", "--bits", "2")],
+)
+def test_override_flag_a_subcommand_does_not_read_exits_2(
+    tmp_path, capsys, command, flag, value
+):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {**runnable_config(tmp_path, command), "output_dir": str(out)})
+    with pytest.raises(SystemExit) as info:
+        main([command, "--config", cfg, flag, value])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_perfbench_trace_targets_resolve(monkeypatch):
+    # a wrapped name that is gone only drops its per-layer metrics from a
+    # benchmark run, so check here that each one still resolves
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    traced = importlib.import_module("traced")
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, _, _ in traced.TARGETS
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert missing == []
 
 
 @pytest.mark.parametrize("under", [False, True])

@@ -2,6 +2,7 @@ import csv
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -15,7 +16,8 @@ from arraycov.grid import (
     make_uniform_sphere_grid,
     save_grid_csv,
 )
-from arraycov.ioutil import format_float, write_csv
+from arraycov.errors import ConfigError
+from arraycov.ioutil import config_value, format_float, write_csv
 from arraycov.pattern import ElementPatternSet, load_pattern_csv, save_pattern_csv
 
 TINY = np.finfo(np.float64).tiny
@@ -166,3 +168,41 @@ def test_loss_csv_round_trip_bit_exact(tmp_path_factory, rows):
     assert loaded.feeds == feeds
     same_bits([loaded.loss_db[f] for f in feeds], [r[1] for r in rows])
     same_bits([loaded.window_halfwidth_deg[f] for f in feeds], [r[2] for r in rows])
+
+
+@pytest.mark.parametrize(
+    "kind, good, bad",
+    [
+        ("number", [0, -3, 2.5, 1e308, 10**300], [True, False, math.nan, math.inf,
+                                                  -math.inf, 10**309, "1", None, [1.0]]),
+        ("int", [0, -1, 10**400], [True, 2.0, 2.5, "2", None]),
+        ("bool", [True, False], [0, 1, "false", None]),
+        ("str", ["", "ab"], [1, None, ["a"]]),
+        ("object", [{}, {"a": 1}], [[], "a", None]),
+        ("number list", [[], [1, 2.5]], ["90", [math.nan], [True], 1.0, None]),
+        ("str list", [[], ["a", "b"]], ["ab", [1], None]),
+        ("object list", [[{}]], [{}, [[]], [None]]),
+    ],
+)
+def test_config_value_kinds(kind, good, bad):
+    for value in good:
+        got = config_value({"k": value}, "k", kind)
+        if kind == "number":
+            assert type(got) is float and got == float(value)
+        elif kind == "number list":
+            assert [type(v) for v in got] == [float] * len(value) and got == value
+        else:
+            assert got is value
+    for value in bad:
+        with pytest.raises(ConfigError, match="config key 'k' must be"):
+            config_value({"k": value}, "k", kind)
+
+
+def test_config_value_default_and_alternatives():
+    with pytest.raises(ConfigError, match="missing required key 'k'"):
+        config_value({}, "k", "number")
+    assert config_value({}, "k", "number", None) is None
+    assert config_value({"k": [1]}, "k", ("number list", "object")) == [1.0]
+    assert config_value({"k": {}}, "k", ("number list", "object")) == {}
+    with pytest.raises(ConfigError, match="a list of finite numbers or an object, got 'x'"):
+        config_value({"k": "x"}, "k", ("number list", "object"))

@@ -107,7 +107,7 @@ def test_enumeration_matches_weight_vector_loop(n):
 
 def test_enumeration_validation():
     spec = SubArraySpec("s", (0, 1, 2, 3))
-    for bits in (0, 7):
+    for bits in (0, 7, 2.5, True, "2"):
         with pytest.raises(ValueError, match="bits"):
             enumerate_weights(spec, bits)
         with pytest.raises(ValueError, match="bits"):
