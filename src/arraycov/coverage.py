@@ -113,22 +113,25 @@ class CoverageResult:
         return float(self.gain_db[-1])
 
 
-def coverage_cdf(gain_map: GainMap, weighting=WEIGHTING_SOLID_ANGLE) -> CoverageResult:
-    """Weighted empirical CDF of a full-sphere gain map.
+def direction_weights(grid: SphericalGrid, weighting=WEIGHTING_SOLID_ANGLE) -> np.ndarray:
+    """Each direction's weight in the coverage CDF over a full-sphere grid.
 
     Solid-angle weighting (default) uses the grid weights; the
     sample-count switch weights every direction equally, for
     comparison on near-uniform grids.
     """
-    if not gain_map.grid.is_full_sphere:
+    if not grid.is_full_sphere:
         raise ValueError("coverage requires a full-sphere grid")
     if weighting == WEIGHTING_SOLID_ANGLE:
-        weights = gain_map.grid.weight_sr
-    elif weighting == WEIGHTING_SAMPLE_COUNT:
-        weights = np.ones(len(gain_map.grid))
-    else:
-        raise ValueError(f"unknown weighting {weighting!r}")
+        return grid.weight_sr
+    if weighting == WEIGHTING_SAMPLE_COUNT:
+        return np.ones(len(grid))
+    raise ValueError(f"unknown weighting {weighting!r}")
 
+
+def coverage_cdf(gain_map: GainMap, weighting=WEIGHTING_SOLID_ANGLE) -> CoverageResult:
+    """Weighted empirical CDF of a full-sphere gain map (see direction_weights)."""
+    weights = direction_weights(gain_map.grid, weighting)
     gain_db = gain_map.gain_db()
     order = np.argsort(gain_db, kind="stable")
     g_sorted = gain_db[order]

@@ -13,7 +13,10 @@ in two steps:
    magnitudes to take. It runs in float32 on F and A scaled so that
    each direction's form is at most 1, and so is only approximate. It
    shortlists, per direction, the rows whose form lies within a
-   rounding margin of the maximum.
+   rounding margin of the maximum. A first pass bounds the form of each
+   phase group (rows that share all but the last phasor), so that the
+   GEMM runs only on the 128-row blocks whose bound reaches the
+   maximum.
 2. **Recompute.** The shortlisted rows' fields are synthesized exactly
    as the chunked reference computes them (same rows per zgemm call,
    same ``|f0|**2 + |f1|**2``), each call on only the directions its
@@ -35,6 +38,9 @@ _CHUNK = 128
 # the select's bound on a carried best power, in units of its norm
 _CLIP = 2.0**64
 
+# group bounds the select's first pass computes at once
+_TILE = 2**15
+
 
 def synthesize_fields(elem_gains, phasors):
     """Coherently combine element fields for a block of weight vectors.
@@ -54,41 +60,102 @@ def _form_factors(elem_gains, phasors):
     With c_mn = w_m conj(w_n), P = sum_m |w_m|^2 R_mm
     + sum_{m<n} (Re c_mn 2 Re R_mn - Im c_mn 2 Im R_mn).
     """
-    m, n = np.triu_indices(phasors.shape[1], k=1)
+    n_el, n_dir, _ = elem_gains.shape
+    m, n = np.triu_indices(n_el, k=1)
     cross_w = phasors[:, m] * phasors[:, n].conj()
     factors = np.concatenate(
         [phasors.real**2 + phasors.imag**2, cross_w.real, cross_w.imag], axis=1
     )
-    diag = (elem_gains.real**2 + elem_gains.imag**2).sum(axis=2)
-    cross_r = (elem_gains[m] * elem_gains[n].conj()).sum(axis=2)
-    form = np.concatenate([diag, 2.0 * cross_r.real, -2.0 * cross_r.imag])
-    return factors, np.ascontiguousarray(form), diag
+    form = np.empty((n_el**2, n_dir))
+    diag = form[:n_el]
+    np.sum(elem_gains.real**2 + elem_gains.imag**2, axis=2, out=diag)
+    # one pair at a time, so that no (pairs, n_dir, 2) product is alive
+    for k, (i, j) in enumerate(zip(m, n)):
+        cross_r = (elem_gains[i] * elem_gains[j].conj()).sum(axis=1)
+        form[n_el + k] = 2.0 * cross_r.real
+        form[n_el + m.size + k] = -2.0 * cross_r.imag
+    return factors, form, diag
 
 
-def _shortlist(factors, form, best_power, margin):
+def _group_size(phasors):
+    """Rows per phase group: a run of rows that share all but the last phasor.
+
+    Every run must have one length, and it must divide _CHUNK, so that
+    no group crosses a select block; otherwise each row is its own group.
+    """
+    head = phasors[:, :-1]
+    (ends,) = np.nonzero((head[1:] != head[:-1]).any(axis=1))
+    runs = np.diff(np.concatenate([[0], ends + 1, [phasors.shape[0]]]))
+    if np.all(runs == runs[0]) and _CHUNK % runs[0] == 0:
+        return int(runs[0])
+    return 1
+
+
+def _shortlist(factors, form, lead, group, best_power, margin):
     """(row, direction) pairs whose form is within 2*margin of the maximum.
 
-    The first pass keeps each block's per-direction maximum where it
-    is near the running one. The second evaluates the form again only
-    in the blocks and directions still near the final maximum, which
-    is about one block's worth in all.
+    Rows come in phase groups of `group` rows that share every phasor but
+    the last, w_L; lead holds each group's shared phasors. With
+    u = sum_{m<L} w_m R_mL, a row's form is Q + |w_L|^2 R_LL
+    + 2 Re(conj(w_L) u), where Q is the form of the shared phasors
+    alone. So Q + a^2 R_LL + 2 a |u|, with a the group's largest |w_L|,
+    bounds the form of every row of the group.
+
+    The first pass takes, per direction, each block's largest bound. The
+    rows of the block with the best bound give a floor 2*margin below
+    their largest form or the running maximum. The second pass
+    evaluates the form only in the blocks whose bound reaches 2*margin
+    below the floor, and keeps the rows whose form reaches the floor.
     """
-    top = np.full(form.shape[1], -np.inf, dtype=form.dtype)
-    near_blocks = []
-    for start in range(0, factors.shape[0], _CHUNK):
-        block_max = (factors[start : start + _CHUNK] @ form).max(axis=0)
-        np.maximum(top, block_max, out=top)
-        (near,) = np.nonzero(block_max >= np.maximum(top, best_power) - 2.0 * margin)
-        near_blocks.append((start, near, block_max[near]))
+    n_w, n_terms = factors.shape
+    n_el = lead.shape[1] // 2 + 1
+    n_dir = form.shape[1]
+    m, n = np.triu_indices(n_el, k=1)
+    (pairs,) = np.nonzero(n == n_el - 1)
+    cross_re, cross_im = n_el + pairs, n_el + m.size + pairs
+    own = np.setdiff1d(np.arange(n_terms), np.concatenate([cross_re, cross_im]))
+    # per group: the shared phasors' form terms, with a^2 in |w_L|^2's column
+    shared = factors[::group, own]
+    shared[:, n_el - 1] = factors[:, n_el - 1].reshape(-1, group).max(axis=1)
+    # a * w_m against 2 R_mL, with the real and imaginary parts of each
+    # direction in adjacent columns: the product, read as complex, is 2 a u
+    lead = lead * np.sqrt(shared[:, n_el - 1 : n_el])
+    re, im = form[cross_re], form[cross_im]
+    cross = np.stack([np.concatenate([re, im]), np.concatenate([-im, re])], axis=2)
+    cross = cross.reshape(lead.shape[1], 2 * n_dir)
+    form_own = form[own]
+    n_groups = shared.shape[0]
+    per_block = _CHUNK // group
+    n_full = n_groups // per_block
+    n_blocks = -(-n_w // _CHUNK)
+    bound = np.empty((n_blocks, n_dir), dtype=form.dtype)
+    width = max(1, _TILE // n_groups)
+    for start in range(0, n_dir, width):
+        cols = slice(start, start + width)
+        tile = shared @ form_own[:, cols]
+        two_au = lead @ cross[:, 2 * start : 2 * (start + width)]
+        tile += np.abs(two_au.view(np.complex64))
+        full = tile[: n_full * per_block]
+        bound[:n_full, cols] = full.reshape(n_full, per_block, tile.shape[1]).max(axis=1)
+        if n_full < n_blocks:
+            bound[n_full, cols] = tile[n_full * per_block :].max(axis=0)
+
+    best_block = bound.argmax(axis=0)
+    top = np.empty(n_dir, dtype=form.dtype)
+    for block in np.unique(best_block):
+        (near,) = np.nonzero(best_block == block)
+        start = block * _CHUNK
+        top[near] = (factors[start : start + _CHUNK] @ form[:, near]).max(axis=0)
     floor = np.maximum(top, best_power) - 2.0 * margin
+    reach = bound >= floor - 2.0 * margin
     rows, dirs = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for start, near, block_max in near_blocks:
-        near = near[block_max >= floor[near]]
-        if near.size:
-            q = factors[start : start + _CHUNK] @ form[:, near]
-            r, c = np.nonzero(q >= floor[near])
-            rows.append(start + r)
-            dirs.append(near[c])
+    for block in np.flatnonzero(reach.any(axis=1)):
+        (near,) = np.nonzero(reach[block])
+        start = block * _CHUNK
+        q = factors[start : start + _CHUNK] @ form[:, near]
+        r, c = np.nonzero(q >= floor[near])
+        rows.append(start + r)
+        dirs.append(near[c])
     return np.concatenate(rows), np.concatenate(dirs)
 
 
@@ -227,15 +294,30 @@ def synth_max_accumulate(elem_gains, phasors, best_power, best_index, index_offs
     # off by up to 3 u32 tiny32 more, hence the tiny32 term. Best powers
     # are clipped to +-2^64 in these units, beyond any form, so that none
     # overflows float32; a lower floor only keeps more rows.
+    # The group bound of _shortlist, Q + a^2 R_LL + 2 a |u|, is no sum of
+    # form terms, but by the same Cauchy-Schwarz step its terms' absolute
+    # values sum to at most s^2, so to at most 1 in these units. Its
+    # float32 rounding (converting its inputs, a as the root of the
+    # largest |w_L|^2, a w_m, GEMMs over (N-1)^2 + 1 and 2 (N-1) terms,
+    # the magnitude |2 a u| and the last sum) stays within about
+    # (N^2 + 9) u32. The winner's computed form is at least the floor, so
+    # its group's computed bound is at least the floor less (N^2 + 3) u32
+    # for the form, (N^2 + 9) u32 for the bound and 1 u32 for the
+    # threshold's subtraction: (2 N^2 + 13) u32, within the second
+    # 2 * margin32 the threshold takes off the floor; tiny32 terms as above.
     w2 = max(w_max**2, fp.tiny)
     col = np.maximum(gain_sum**2, fp.tiny / w2)
     norm = w2 * col
     f32 = np.finfo(np.float32)
     margin32 = margin / norm + 16.0 * n_el**2 * f32.eps * (1.0 + f32.tiny)
     best = np.clip(best_power[live], -_CLIP * norm, _CLIP * norm) / norm
+    group = _group_size(phasors)
+    lead = phasors[::group, :-1] / np.sqrt(w2)
     rows, dirs = _shortlist(
         (factors / w2).astype(np.float32),
         (form / col).astype(np.float32),
+        np.concatenate([lead.real, lead.imag], axis=1).astype(np.float32),
+        group,
         best.astype(np.float32),
         margin32.astype(np.float32),
     )

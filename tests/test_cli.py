@@ -4,11 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from arraycov import cli
 from arraycov.cli import main
 from arraycov.coverage import CDF_CSV_HEADER, load_cdf_csv
 from arraycov.deembed import LOSS_CSV_HEADER, load_loss_csv
@@ -197,8 +199,7 @@ def test_coverage_bytes_do_not_depend_on_blas_threads(tmp_path):
         },
         "cut_thetas_deg": [90.0],
     }
-    default = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    envs = {"one": {**default, "OPENBLAS_NUM_THREADS": "1"}, "default": default}
+    envs = {n: {**os.environ, "OPENBLAS_NUM_THREADS": n} for n in ("1", "2")}
     outputs = []
     for tag, env in envs.items():
         out = tmp_path / tag
@@ -211,11 +212,46 @@ def test_coverage_bytes_do_not_depend_on_blas_threads(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    one, default = outputs
-    assert sorted(one) == sorted(default)
+    one, two = outputs
+    assert sorted(one) == sorted(two)
     assert "gain_map.csv" in one and "cut_theta_90.svg" in one
     for name in one:
-        assert one[name] == default[name], f"{name} differs between thread counts"
+        assert one[name] == two[name], f"{name} differs between thread counts"
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def run_child(code, env=None):
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_import_arraycov_loads_no_numpy():
+    # the command line sets the BLAS thread count before numpy loads
+    code = (
+        "import sys, arraycov; "
+        "print('numpy' in sys.modules, arraycov.GainMap.__module__)"
+    )
+    assert run_child(code) == ["False", "arraycov.coverage"]
+
+
+@pytest.mark.parametrize("preset", [None, *BLAS_THREAD_VARS])
+def test_cli_runs_one_blas_thread_unless_a_count_is_set(preset):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    if preset:
+        env[preset] = "2"
+    code = (
+        "import os, arraycov.cli; "
+        f"print(*(os.environ.get(k, '-') for k in {BLAS_THREAD_VARS!r}))"
+    )
+    expected = ["1" if preset is None else "-", "-", "-"]
+    if preset:
+        expected[BLAS_THREAD_VARS.index(preset)] = "2"
+    assert run_child(code, env) == expected
 
 
 def test_coverage_applies_loss_table(tmp_path):
@@ -342,6 +378,38 @@ def test_reflect_sweep(tmp_path):
     assert main(["reflect", "--config", cfg]) == 0
     rows = (out / "reflection.csv").read_text().splitlines()
     assert [float(r.split(",")[0]) for r in rows[1:]] == [26.0, 28.0, 30.0]
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        {"start": -1e308, "stop": 1e308, "step": 1e308},
+        {"start": 26.0, "stop": 30.0, "step": 4e-6},
+    ],
+    ids=["span_overflows", "tiny_step"],
+)
+def test_oversized_frequency_sweep_exits_2(tmp_path, capsys, sweep):
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path,
+        {
+            "stack": {"layers": [{"material": "ldpe_film", "thickness_mm": 0.1}]},
+            "frequencies_ghz": sweep,
+            "output_dir": str(out),
+        },
+    )
+    # the tiny step's 1e6-point list is never built
+    tracemalloc.start()
+    try:
+        assert main(["reflect", "--config", cfg]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    err = capsys.readouterr().err
+    assert "configuration error: frequencies_ghz sweep" in err
+    assert f"more than {cli.MAX_SWEEP_POINTS} points" in err
+    assert not out.exists()
 
 
 def test_missing_config_exits_2(tmp_path):
@@ -511,6 +579,18 @@ def test_capacity_blowup_exits_2(tmp_path):
     # 2^(6*4) weights blows past the enumeration cap
     assert main(["synth", "--config", cfg, "--bits", "6"]) == 2
     assert main(["coverage", "--config", cfg, "--bits", "6"]) == 2
+
+
+def test_bad_weighting_exits_2_before_the_kernel(tmp_path, monkeypatch, capsys):
+    def kernel(*args):
+        raise AssertionError("max_gain_over_plan ran")
+
+    monkeypatch.setattr(cli.cov, "max_gain_over_plan", kernel)
+    out = tmp_path / "out"
+    cfg = coverage_config(tmp_path, out, extra={"weighting": "foo"})
+    assert main(["coverage", "--config", cfg]) == 2
+    assert "configuration error: unknown weighting 'foo'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_material_exits_2(tmp_path):

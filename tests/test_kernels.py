@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from arraycov import kernels
 from arraycov.kernels import synth_max_accumulate, synthesize_fields
+from arraycov.synth import SubArraySpec, enumerate_weights
 
 # chunk size of the reference below
 _CHUNK = 128
@@ -121,6 +122,65 @@ def test_matches_reference_on_full_scale_codebook():
     ):
         fn(gains, phasors, best_power, best_index, 0)
     assert_same_bits(*states)
+
+
+def assert_matches_reference(gains, phasors, second_gains):
+    # a second call on other gains carries the first call's best powers in
+    for scale in (1e-160, 1e-30, 1.0, 1e30):
+        states = fresh_state(gains.shape[1]), fresh_state(gains.shape[1])
+        for fn, (best_power, best_index) in zip(
+            (synth_max_accumulate, reference_synth_max), states
+        ):
+            fn(gains * scale, phasors, best_power, best_index, 0)
+            fn(second_gains * scale, phasors, best_power, best_index, len(phasors))
+        assert_same_bits(*states)
+
+
+# every codebook of up to 4096 rows: (elements, bits)
+CODEBOOKS = [(n, b) for n in range(1, 6) for b in range(1, 5) if b * (n - 1) <= 12]
+
+
+@pytest.mark.parametrize("n_el,bits", CODEBOOKS)
+def test_codebook_phase_groups_match_reference(n_el, bits):
+    # a codebook's rows come in runs of 2^bits that share all but the last
+    # phasor, and the select bounds each run as one group
+    phasors = enumerate_weights(SubArraySpec("s", tuple(range(n_el))), bits)
+    assert kernels._group_size(phasors) == min(2**bits, len(phasors))
+    gains, _ = random_problem(n_el, 45, 0, seed=10 * n_el + bits)
+    gains[:, 7] = 0.0
+    second, _ = random_problem(n_el, 45, 0, seed=100 + 10 * n_el + bits)
+    assert_matches_reference(gains, phasors, second)
+
+
+# run lengths of rows that share all but the last phasor, and the group
+# size the select takes for them
+RUNS = {
+    "runs_of_3": ([3] * 100, 1),
+    "one_short_run": ([16] * 20 + [8], 1),
+    "runs_longer_than_a_block": ([256] * 2, 1),
+    "runs_across_blocks": ([24] * 11, 1),
+    "first_run_shorter": ([32] + [64] * 3, 1),
+    "runs_of_32_partial_block": ([32] * 10, 32),
+    "runs_of_64": ([64] * 3, 64),
+    "one_run": ([128], 128),
+}
+
+
+@pytest.mark.parametrize("runs,group", list(RUNS.values()), ids=list(RUNS))
+@pytest.mark.parametrize("n_el", [2, 4])
+def test_hand_made_runs_match_reference(n_el, runs, group):
+    rng = np.random.default_rng(sum(runs) + n_el)
+    heads = np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=(len(runs), n_el)))
+    phasors = np.repeat(heads, runs, axis=0) / np.sqrt(n_el)
+    # the last phasor's amplitude varies within a run, so each group's
+    # bound must take its largest
+    phasors[:, -1] = rng.uniform(0.1, 1.5, size=len(phasors)) * np.exp(
+        1j * rng.uniform(0.0, 2 * np.pi, size=len(phasors))
+    )
+    assert kernels._group_size(phasors) == group
+    gains, _ = random_problem(n_el, 37, 0, seed=len(runs))
+    second, _ = random_problem(n_el, 37, 0, seed=len(runs) + 1)
+    assert_matches_reference(gains, phasors, second)
 
 
 def test_lone_winner_recomputed_in_a_full_size_call():
