@@ -22,7 +22,7 @@ if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.
 import numpy as np
 
 from . import coverage as cov
-from . import deembed, materials, pattern, svgplot, synth
+from . import deembed, pattern, svgplot, synth
 from .errors import (
     CapacityError,
     ConfigError,
@@ -98,7 +98,7 @@ def _build_grid(config, key):
         )
     if kind == "uniform-sphere":
         return make_uniform_sphere_grid(config_value(spec, "points", "int"))
-    raise ConfigError(f"unknown grid kind {kind!r}")
+    raise ConfigError(f"unknown {key} kind {kind!r}")
 
 
 def _levels(config):
@@ -130,6 +130,8 @@ def _windows(config, feeds):
 
 def _material(spec, key, what, default=None):
     """The material a builtin name or a {"path", "name"} object names."""
+    from . import materials
+
     ref = config_value(spec, key, ("str", "object"), default)
     if isinstance(ref, str):
         try:
@@ -143,6 +145,8 @@ def _material(spec, key, what, default=None):
 
 
 def _stack(config):
+    from . import materials
+
     spec = config_value(config, "stack", "object")
     entries = config_value(spec, "layers", "object list")
     if not entries:
@@ -170,7 +174,7 @@ def _frequencies(config):
         return spec
     start, stop, step = (config_value(spec, k, "number") for k in ("start", "stop", "step"))
     if step <= 0.0 or stop < start:
-        raise ConfigError(f"bad frequency sweep: start={start} stop={stop} step={step}")
+        raise ConfigError(f"bad frequencies_ghz sweep: start={start} stop={stop} step={step}")
     span = (stop - start) / step
     if not math.isfinite(span) or round(span) >= MAX_SWEEP_POINTS:
         raise ConfigError(
@@ -189,7 +193,7 @@ def _load_pattern_input(config):
             pattern_set = deembed.apply_losses(pattern_set, table)
         except KeyError as exc:
             raise ConfigError(
-                f"loss table does not cover the pattern feeds: {exc}"
+                f"loss_table does not cover the pattern feeds: {exc.args[0]}"
             ) from exc
     return pattern_set
 
@@ -326,7 +330,7 @@ def _extract_cut(gain_map, theta_deg):
     ring_thetas, rings = regular_ring_structure(gain_map.grid)
     match = np.nonzero(np.isclose(ring_thetas, theta_deg, rtol=0.0, atol=1e-9))[0]
     if match.size == 0:
-        raise ConfigError(f"no theta ring at {theta_deg} degrees")
+        raise ConfigError(f"cut_thetas_deg: no theta ring at {theta_deg} degrees")
     idx = rings[match[0]]
     gain_db = gain_map.gain_db()
     return gain_map.grid.phi_deg[idx], gain_db[idx]
@@ -359,6 +363,8 @@ def cmd_compare(config) -> int:
 
 
 def cmd_reflect(config) -> int:
+    from . import materials
+
     stack = _stack(config)
     freqs = _frequencies(config)
     incidence = config_value(config, "incidence_deg", "number", 0.0)

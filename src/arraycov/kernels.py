@@ -38,8 +38,13 @@ _CHUNK = 128
 # the select's bound on a carried best power, in units of its norm
 _CLIP = 2.0**64
 
-# group bounds the select's first pass computes at once
+# group bounds the select's first pass computes at once, and forms its
+# later passes compute at once
 _TILE = 2**15
+
+# directions per narrowed exact call; even, so that only an odd call's
+# last tile has a 2-column tail (see _tiles)
+_EXACT_TILE = 512
 
 
 def synthesize_fields(elem_gains, phasors):
@@ -142,20 +147,25 @@ def _shortlist(factors, form, lead, group, best_power, margin):
 
     best_block = bound.argmax(axis=0)
     top = np.empty(n_dir, dtype=form.dtype)
+    width = _TILE // _CHUNK
     for block in np.unique(best_block):
         (near,) = np.nonzero(best_block == block)
         start = block * _CHUNK
-        top[near] = (factors[start : start + _CHUNK] @ form[:, near]).max(axis=0)
+        for lo in range(0, near.size, width):
+            cols = near[lo : lo + width]
+            top[cols] = (factors[start : start + _CHUNK] @ form[:, cols]).max(axis=0)
     floor = np.maximum(top, best_power) - 2.0 * margin
     reach = bound >= floor - 2.0 * margin
     rows, dirs = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     for block in np.flatnonzero(reach.any(axis=1)):
         (near,) = np.nonzero(reach[block])
         start = block * _CHUNK
-        q = factors[start : start + _CHUNK] @ form[:, near]
-        r, c = np.nonzero(q >= floor[near])
-        rows.append(start + r)
-        dirs.append(near[c])
+        for lo in range(0, near.size, width):
+            cols = near[lo : lo + width]
+            q = factors[start : start + _CHUNK] @ form[:, cols]
+            r, c = np.nonzero(q >= floor[cols])
+            rows.append(start + r)
+            dirs.append(cols[c])
     return np.concatenate(rows), np.concatenate(dirs)
 
 
@@ -205,6 +215,18 @@ def _call_columns(needed, n_dir):
     return np.flatnonzero(take)
 
 
+def _tiles(width):
+    """Slices of a narrowed call's columns, each one call of its own.
+
+    Tiles are _EXACT_TILE wide but the last; an odd width's last tile is
+    odd, at least 3 wide, and ends in the call's last direction. So each
+    tile is a narrowed call as _call_columns makes them, and keeps the
+    full call's bits where the probe does.
+    """
+    cuts = list(range(_EXACT_TILE, width - 1, _EXACT_TILE))
+    return [slice(lo, hi) for lo, hi in zip([0] + cuts, cuts + [width])]
+
+
 def _exact_powers(elem_gains, phasors, rows, dirs):
     """The chunked reference's power bits at each (row, direction) pair.
 
@@ -216,9 +238,10 @@ def _exact_powers(elem_gains, phasors, rows, dirs):
 
     Nor does it depend on the other directions, outside a 2-column tail
     (see _call_columns), so each call synthesizes only the directions
-    its rows need, unless the probe finds otherwise. A one-row call is a
-    gemv, whose bits depend on where BLAS threads split the columns, so
-    it takes every direction.
+    its rows need, in tiles of at most about _EXACT_TILE directions,
+    unless the probe finds otherwise. A one-row call is a gemv, whose
+    bits depend on where BLAS threads split the columns, so it takes
+    every direction at once.
     """
     n_w = phasors.shape[0]
     n_el, n_dir, _ = elem_gains.shape
@@ -235,15 +258,23 @@ def _exact_powers(elem_gains, phasors, rows, dirs):
         slot[take] = np.arange(take.size)
         pos = slot[rows]
         hit = pos >= 0
+        r, d = pos[hit], dirs[hit]
         if narrow and size > 1:
-            cols = _call_columns(np.unique(dirs[hit]), n_dir)
+            cols = _call_columns(np.unique(d), n_dir)
+            tiles = _tiles(cols.size)
         else:
-            cols = np.arange(n_dir)
-        # bind only the gathered pairs, so one call's fields are alive at a time
-        pair = synthesize_fields(elem_gains[:, cols], phasors[np.resize(take, size)])[
-            pos[hit], np.searchsorted(cols, dirs[hit])
-        ]
-        power[hit] = np.abs(pair[:, 0]) ** 2 + np.abs(pair[:, 1]) ** 2
+            cols, tiles = np.arange(n_dir), [slice(0, n_dir)]
+        c = np.searchsorted(cols, d)
+        block = phasors[np.resize(take, size)]
+        own = np.empty(r.size)
+        for tile in tiles:
+            sel = (c >= tile.start) & (c < tile.stop)
+            # bind only the gathered pairs, so one tile's fields are alive at a time
+            pair = synthesize_fields(elem_gains[:, cols[tile]], block)[
+                r[sel], c[sel] - tile.start
+            ]
+            own[sel] = np.abs(pair[:, 0]) ** 2 + np.abs(pair[:, 1]) ** 2
+        power[hit] = own
     return power
 
 

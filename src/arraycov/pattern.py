@@ -6,6 +6,7 @@ array synthesis sums fields coherently and is linear in them.
 """
 
 import csv
+import itertools
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -99,8 +100,8 @@ def _parse_pattern_rows(path):
     g_theta, g_phi) per data row and raises ParseError at the first bad one.
 
     This is the definition of a valid row. load_pattern_csv reads well-formed
-    files in one vectorized pass and comes here only to reject a file, to
-    accept what that pass is stricter about, or to locate a row.
+    files in vectorized chunks and comes here only to reject a file, to
+    accept what that read is stricter about, or to locate a row.
     """
     for row, cells in table_rows(path, PATTERN_CSV_HEADER):
         feed = cells[0].strip()
@@ -120,79 +121,133 @@ def _row_number(path, index):
             return row[0]
 
 
-def _number_feeds(labels):
-    """(feeds, feed_id): the stripped labels of an object array in
-    first-seen order, and each row's position among them."""
-    # rows come in runs of one label, so look up one label per run
+# data rows the fast read parses at a time; only one chunk's labels are alive
+_CHUNK_ROWS = 4096
+
+_CHUNK_DTYPE = [("feed", object), ("angles", "f8", (2,)), ("samples", "f8", (4,))]
+
+
+def _add_runs(runs, labels, offset):
+    """Extend runs, a list of (first row, label), by an object array of the
+    labels of rows offset, offset + 1, ...; a run may go on across calls."""
     change = np.ones(labels.size, dtype=bool)
     change[1:] = labels[1:] != labels[:-1]
-    starts = np.flatnonzero(change)
+    if runs and labels.size and labels[0] == runs[-1][1]:
+        change[0] = False
+    (new,) = np.nonzero(change)
+    runs.extend(zip((offset + new).tolist(), labels[new].tolist()))
+
+
+def _number_feeds(runs, n_rows):
+    """(feeds, feed_id): the stripped labels of the runs in first-seen
+    order, and each of the n_rows rows' position among them."""
     ids = {}
-    run_ids = [ids.setdefault(label.strip(), len(ids)) for label in labels[starts]]
-    feed_id = np.repeat(np.array(run_ids, dtype=np.int64), np.diff(starts, append=labels.size))
+    run_ids = [ids.setdefault(label.strip(), len(ids)) for _, label in runs]
+    starts = np.array([start for start, _ in runs], dtype=np.int64)
+    feed_id = np.repeat(np.array(run_ids, dtype=np.int64), np.diff(starts, append=n_rows))
     return list(ids), feed_id
 
 
-def _lines_from(first, rest):
-    yield first
-    yield from rest
+def _line_capacity(path):
+    """An upper bound on the lines of a file whose lines end in a newline."""
+    lines = 1
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 18):
+            lines += np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
+    return lines
+
+
+def _read_chunks(path):
+    """(runs, angles, samples) of a well-formed pattern CSV, read
+    _CHUNK_ROWS rows at a time into buffers sized once; None where the
+    row-by-row read has to decide.
+
+    Raises ValueError or csv.Error where numpy or csv cannot read a row.
+    """
+    capacity = _line_capacity(path)
+    angles = np.empty((capacity, 2))
+    samples = np.empty((capacity, 4))
+    runs, n = [], 0
+    with open(path, newline="") as fh:
+        check_header(next(csv.reader(fh), None), PATTERN_CSV_HEADER, path)
+        while True:
+            # loadtxt warns on input without data, so a chunk starts at a data line
+            first = next((line for line in fh if line.strip("\r\n")), None)
+            if first is None:
+                break
+            chunk = np.loadtxt(
+                itertools.chain([first], itertools.islice(fh, _CHUNK_ROWS - 1)),
+                delimiter=",",
+                comments=None,
+                quotechar='"',
+                dtype=_CHUNK_DTYPE,
+                ndmin=1,
+            )
+            if n + chunk.size > capacity:
+                return None  # more rows than newlines: lines end in a lone \r
+            angles[n : n + chunk.size] = chunk["angles"]
+            samples[n : n + chunk.size] = chunk["samples"]
+            _add_runs(runs, chunk["feed"], n)
+            n += chunk.size
+    angles, samples = angles[:n], samples[:n]
+    theta = angles[:, 0]
+    # what the row-by-row read rejects
+    if (
+        not np.isfinite(angles).all()
+        or not np.isfinite(samples).all()
+        or not ((theta >= 0.0) & (theta <= 180.0)).all()
+        or any(not label.strip() for _, label in runs)
+    ):
+        return None
+    angles[:, 1] %= 360.0
+    return runs, angles, samples
 
 
 def _read_table(path):
     """The data rows of a pattern CSV in file order.
 
-    Returns (feeds, feed_id, table, error): table holds one row of
-    theta, phi % 360, re_gtheta, im_gtheta, re_gphi, im_gphi per data row
-    and feed_id indexes feeds. error is None, or the exception that
-    stopped the row-by-row read at an invalid row, in which case only the
-    rows before it are returned.
+    Returns (feeds, feed_id, angles, samples, error): per data row, angles
+    holds theta and phi % 360, samples re_gtheta, im_gtheta, re_gphi and
+    im_gphi (the memory layout of the two complex gains), and feed_id
+    indexes feeds. error is None, or the exception that stopped the
+    row-by-row read at an invalid row, in which case only the rows before
+    it are returned.
     """
-    records = None
     try:
-        with open(path, newline="") as fh:
-            check_header(next(csv.reader(fh), None), PATTERN_CSV_HEADER, path)
-            # loadtxt warns on a file without data; such a file goes the slow way
-            first = next((line for line in fh if line.strip("\r\n")), None)
-            if first is not None:
-                records = np.loadtxt(
-                    _lines_from(first, fh),
-                    delimiter=",",
-                    comments=None,
-                    quotechar='"',
-                    dtype=[("feed", object), ("v", "f8", (6,))],
-                    ndmin=1,
-                )
+        read = _read_chunks(path)
     except (ValueError, csv.Error):
         # UnicodeDecodeError is a ValueError; the row-by-row read names the row
-        pass
-    if records is not None:
-        feeds, feed_id = _number_feeds(records["feed"])
-        table = records["v"].copy()
-        del records
-        theta = table[:, 0]
-        if (
-            "" not in feeds
-            and np.isfinite(table).all()
-            and ((theta >= 0.0) & (theta <= 180.0)).all()
-        ):
-            table[:, 1] %= 360.0
-            return feeds, feed_id, table, None
+        read = None
+    if read is not None:
+        runs, angles, samples = read
+        return *_number_feeds(runs, len(angles)), angles, samples, None
 
     rows, error = [], None
     try:
         rows.extend(_parse_pattern_rows(path))
     except ParseError as exc:
         error = exc
-    feeds, feed_id = _number_feeds(np.array([row[1] for row in rows], dtype=object))
-    table = np.array(
-        [(t, p, gt.real, gt.imag, gp.real, gp.imag) for _, _, t, p, gt, gp in rows],
-        dtype=np.float64,
-    ).reshape(-1, 6)
-    return feeds, feed_id, table, error
+    runs = []
+    _add_runs(runs, np.array([row[1] for row in rows], dtype=object), 0)
+    angles = np.array([(t, p) for _, _, t, p, _, _ in rows], dtype=np.float64).reshape(-1, 2)
+    samples = np.array([(gt, gp) for *_, gt, gp in rows], dtype=np.complex128).reshape(-1, 2)
+    return *_number_feeds(runs, len(rows)), angles, samples.view(np.float64), error
 
 
-def _merge_directions(path, feeds, feed_id, table):
-    """Rows of table that hold each feed's samples, sorted by feed, then by
+def _sort_rows(feed_id, key_t, key_p):
+    """np.lexsort((key_p, key_t, feed_id)): file order within a key. Rows
+    already in that order, as save_pattern_csv writes them, are not sorted."""
+    f, t, p = feed_id, key_t, key_p
+    if (
+        (f[1:] > f[:-1])
+        | ((f[1:] == f[:-1]) & ((t[1:] > t[:-1]) | ((t[1:] == t[:-1]) & (p[1:] >= p[:-1]))))
+    ).all():
+        return np.arange(f.size)
+    return np.lexsort((key_p, key_t, feed_id))
+
+
+def _merge_directions(path, feeds, feed_id, angles, samples):
+    """Rows that hold each feed's samples, sorted by feed, then by
     direction key; returns them with the keys of every row.
 
     Repeated pole rows (theta 0 or 180 at several phi) merge into the first
@@ -200,15 +255,15 @@ def _merge_directions(path, feeds, feed_id, table):
     the first by more than _POLE_MERGE_ATOL, raises ParseError at the
     later row in file order.
     """
-    theta, phi = table[:, 0], table[:, 1]
+    theta, phi = angles[:, 0], angles[:, 1]
     key_t, key_p = direction_keys(theta, phi)
-    order = np.lexsort((key_p, key_t, feed_id))  # stable: file order within a key
+    order = _sort_rows(feed_id, key_t, key_p)
     a, b = order[:-1], order[1:]
     starts = np.ones(order.size, dtype=bool)
     starts[1:] = (feed_id[a] != feed_id[b]) | (key_t[a] != key_t[b]) | (key_p[a] != key_p[b])
     later = order[~starts]
     first = order[starts][np.cumsum(starts)[~starts] - 1]
-    diff = table[later, 2:] - table[first, 2:]
+    diff = samples[later] - samples[first]
     bad = (
         ~_is_pole(theta[later])
         | (np.hypot(diff[:, 0], diff[:, 1]) > _POLE_MERGE_ATOL)
@@ -233,8 +288,8 @@ def load_pattern_csv(path) -> ElementPatternSet:
     (theta 0 or 180 at several phi) collapse to the single stored pole
     sample and must agree within 1e-7.
     """
-    feeds, feed_id, table, error = _read_table(path)
-    rows, key_t, key_p = _merge_directions(path, feeds, feed_id, table)
+    feeds, feed_id, angles, samples, error = _read_table(path)
+    rows, key_t, key_p = _merge_directions(path, feeds, feed_id, angles, samples)
     if error is not None:
         raise error
     if not feeds:
@@ -272,10 +327,12 @@ def load_pattern_csv(path) -> ElementPatternSet:
             f" phi={grid.phi_deg[di]}",
             path=path,
         )
-    # columns re_gtheta, im_gtheta, re_gphi, im_gphi are the complex pair's memory layout
-    gains = np.ascontiguousarray(table[rows.reshape(len(feeds), -1), 2:]).view(
-        np.complex128
-    )
+    # of the per-row arrays, only samples is alive while the gains are gathered
+    del angles, feed_id, key_t, key_p
+    # a file in grid order, as save_pattern_csv writes it, is read in place
+    if rows.size < len(samples) or (rows[1:] < rows[:-1]).any():
+        samples = samples[rows]
+    gains = samples.view(np.complex128).reshape(len(feeds), -1, 2)
 
     frequency = DEFAULT_FREQUENCY_GHZ
     convention = DEFAULT_CONVENTION

@@ -674,6 +674,76 @@ def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, path, val
     assert not out.exists()
 
 
+def _loss_table_of_feed_a(tmp_path):
+    path = tmp_path / "losses.csv"
+    path.write_text("feed,loss_db,window_halfwidth_deg\na,3.0,20.0\n")
+    return {"loss_table": str(path)}
+
+
+# id: (command, changes to its runnable config, extra arguments, what
+# stderr must name); None for changes writes a config whose root is a list
+CONFIG_ERRORS = {
+    "root_not_object": ("grid", None, [], "config root"),
+    "empty_output_dir": ("grid", {"output_dir": ""}, [], "output_dir"),
+    "unknown_grid_kind": ("grid", {"grid": {"kind": "hexagonal"}}, [], "grid kind"),
+    "empty_levels": ("coverage", {"levels": []}, [], "levels"),
+    "level_out_of_range": ("coverage", {"levels": [0.5, 1.0]}, [], "levels"),
+    "empty_stack": ("reflect", {"stack": {"layers": []}}, [], "stack layers"),
+    "bad_stack_layer": (
+        "reflect",
+        {"stack": {"layers": [{"material": "ldpe_film", "thickness_mm": -1.0}]}},
+        [],
+        "stack layer 0",
+    ),
+    "empty_frequencies": ("reflect", {"frequencies_ghz": []}, [], "frequencies_ghz"),
+    "backward_sweep": (
+        "reflect",
+        {"frequencies_ghz": {"start": 30.0, "stop": 26.0, "step": 1.0}},
+        [],
+        "frequencies_ghz",
+    ),
+    "loss_table_misses_a_feed": ("coverage", _loss_table_of_feed_a, [], "loss_table"),
+    "no_beam_window": ("deembed", {"windows": {}}, [], "feed 'f0'"),
+    "cut_on_uniform_grid": (
+        "coverage",
+        {"coverage_grid": {"kind": "uniform-sphere", "points": 40}, "cut_thetas_deg": [90]},
+        [],
+        "cut_thetas_deg",
+    ),
+    "cut_theta_without_ring": ("coverage", {"cut_thetas_deg": [45]}, [], "cut_thetas_deg"),
+    "malformed_levels_flag": ("coverage", {}, ["--levels", "0.5,x"], "--levels"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, changes, argv, named", list(CONFIG_ERRORS.values()), ids=list(CONFIG_ERRORS)
+)
+def test_config_error_exits_2_naming_the_key(tmp_path, capsys, command, changes, argv, named):
+    out = tmp_path / "out"
+    config = {**runnable_config(tmp_path, command), "output_dir": str(out)}
+    cfg_ok = write_config(tmp_path, {**config, "output_dir": str(tmp_path / "ok")}, "ok.json")
+    assert main([command, "--config", cfg_ok]) == 0
+    if changes is None:
+        config = [config]
+    else:
+        config.update(changes(tmp_path) if callable(changes) else changes)
+    cfg = write_config(tmp_path, config)
+    try:
+        code = main([command, "--config", cfg, *argv])
+    except SystemExit as exc:  # argparse rejects a malformed flag
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_import_cli_loads_no_materials():
+    # only reflect reads a material
+    code = "import sys, arraycov.cli; print('arraycov.materials' in sys.modules)"
+    assert run_child(code) == ["False"]
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [("reflect", "--bits", "3"), ("grid", "--levels", "0.5"),

@@ -183,6 +183,53 @@ def test_hand_made_runs_match_reference(n_el, runs, group):
     assert_matches_reference(gains, phasors, second)
 
 
+@pytest.mark.parametrize("partial", [False, True], ids=["codebook", "partial_call"])
+@pytest.mark.parametrize("probe", [True, False], ids=["probe_holds", "probe_fails"])
+@pytest.mark.parametrize("n_dir", [60, 61])
+@pytest.mark.parametrize("bits", [3, 4])
+def test_direction_tiles_match_reference(monkeypatch, bits, n_dir, probe, partial):
+    # tiles 4 directions wide: a narrowed exact call is split into tiles,
+    # an odd call's last tile keeps its 2-column tail, and the select's
+    # later passes take 3 directions at a time
+    monkeypatch.setattr(kernels, "_EXACT_TILE", 4)
+    monkeypatch.setattr(kernels, "_TILE", 3 * _CHUNK)
+    monkeypatch.setattr(kernels, "_narrowing_is_exact", lambda n_el: probe)
+    phasors = enumerate_weights(SubArraySpec("s", (0, 1, 2, 3)), bits)
+    if partial:
+        # a trailing partial chunk of louder copies of earlier rows
+        phasors = np.concatenate([phasors, 1.1 * phasors[5:42]])
+    gains, _ = random_problem(4, n_dir, 0, seed=bits + n_dir)
+    # a row of the last call wins the last direction
+    winner = len(phasors) - 3
+    gains[:, -1] = 0.0
+    gains[:, -1, 0] = 3.0 * phasors[winner].conj()
+    second, _ = random_problem(4, n_dir, 0, seed=bits + n_dir + 1)
+
+    widths = []
+
+    def gemv_for_one_column(elem_gains, phasors):
+        # a BLAS may take a one-column product for a gemv, which rounds
+        # otherwise; no call of the kernel or the reference is that narrow
+        out = synthesize_fields(elem_gains, phasors)
+        if elem_gains.shape[1] == 1:
+            out *= 1.0 + np.finfo(np.float64).eps
+        if len(phasors) > 1:
+            widths.append(elem_gains.shape[1])
+        return out
+
+    monkeypatch.setattr(kernels, "synthesize_fields", gemv_for_one_column)
+    best_power, best_index = fresh_state(n_dir)
+    synth_max_accumulate(gains, phasors, best_power, best_index, 0)
+    assert best_index[-1] == winner
+    if probe:
+        # only a call that needs an odd grid's last direction has an odd tile
+        assert max(widths) <= 5
+        assert any(w % 2 for w in widths) == (n_dir % 2 == 1)
+    else:
+        assert set(widths) == {n_dir}
+    assert_matches_reference(gains, phasors, second)
+
+
 def test_lone_winner_recomputed_in_a_full_size_call():
     # one dominant row wins every direction; a 1-row (gemv) recompute
     # would round differently from its 128-row chunk

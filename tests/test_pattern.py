@@ -3,7 +3,9 @@ import json
 import math
 import os
 import random
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from arraycov import pattern
 from arraycov.errors import ParseError
 from arraycov.grid import (
     SphericalGrid,
@@ -507,6 +510,82 @@ def test_reader_errors_match_row_by_row_reference(tmp_path, seed):
         _mutate(rng, rows)
     path = _write_rows(tmp_path, rows)
     assert _outcome(load_pattern_csv, path) == _outcome(reference_load_pattern_csv, path)
+
+
+# a few rows per chunk put label runs, quoted labels, blank rows, pole
+# replicas and the first bad row on chunk boundaries
+SMALL_CHUNKS = [1, 3]
+
+
+@pytest.mark.parametrize("chunk_rows", SMALL_CHUNKS)
+@pytest.mark.parametrize("seed", range(12))
+def test_reader_matches_row_by_row_reference_in_small_chunks(
+    tmp_path, monkeypatch, seed, chunk_rows
+):
+    monkeypatch.setattr(pattern, "_CHUNK_ROWS", chunk_rows)
+    test_reader_matches_row_by_row_reference(tmp_path, seed)
+
+
+@pytest.mark.parametrize("chunk_rows", SMALL_CHUNKS)
+@pytest.mark.parametrize("seed", range(40))
+def test_reader_errors_match_row_by_row_reference_in_small_chunks(
+    tmp_path, monkeypatch, seed, chunk_rows
+):
+    monkeypatch.setattr(pattern, "_CHUNK_ROWS", chunk_rows)
+    test_reader_errors_match_row_by_row_reference(tmp_path, seed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_feeds=st.integers(1, 3),
+    replicas=st.integers(2, 5),
+    component=st.integers(0, 3),
+    factor=st.sampled_from([0.5, 2.0]),
+    chunk_rows=st.sampled_from([2, 4096]),
+)
+def test_pole_merge_matches_row_by_row_reference(
+    tmp_path_factory, seed, n_feeds, replicas, component, factor, chunk_rows
+):
+    # pole rows replicated at several phi merge, unless one component of
+    # one replica is off by more than _POLE_MERGE_ATOL
+    rng = random.Random(seed)
+    grid = make_regular_grid(30.0, 90.0)
+    rows = []
+    for label in ["a", "b", "c"][:n_feeds]:
+        for theta, phi in zip(grid.theta_deg.tolist(), grid.phi_deg.tolist()):
+            values = [rng.gauss(0.0, 1.0) for _ in range(4)]
+            phis = [phi]
+            if _is_pole(theta):
+                phis = [rng.uniform(-360.0, 720.0) for _ in range(replicas)]
+            rows.extend([label, theta, p, *values] for p in phis)
+    poles = [i for i, row in enumerate(rows) if _is_pole(row[1])]
+    replica = rows[rng.choice(poles)]
+    replica[3 + component] += factor * _POLE_MERGE_ATOL
+    rng.shuffle(rows)
+    path = tmp_path_factory.mktemp("poles") / "patterns.csv"
+    path.write_text("\n".join([HEADER] + [",".join(map(str, row)) for row in rows]) + "\n")
+    with mock.patch.object(pattern, "_CHUNK_ROWS", chunk_rows):
+        new = _outcome(load_pattern_csv, path)
+    assert new == _outcome(reference_load_pattern_csv, path)
+    if factor < 1.0:
+        assert new[0] != "error"
+    else:
+        assert new[0] == "error" and "conflicting pole samples" in new[1]
+
+
+def test_reader_peak_memory(tmp_path):
+    # the full-scale input: 8 feeds on the 1 deg x 10 deg grid. The read
+    # holds one chunk's labels at a time and reads the gains in place.
+    path = tmp_path / "patterns.csv"
+    save_pattern_csv(random_set(1.0, 10.0, n_feeds=8), path)
+    tracemalloc.start()
+    try:
+        loaded = load_pattern_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * loaded.gains.nbytes
 
 
 def _minimal_rows(label="a"):
