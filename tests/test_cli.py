@@ -350,6 +350,24 @@ def test_reflect_film(tmp_path):
     assert level == pytest.approx(-28.4, abs=0.3)
 
 
+def test_reflect_reads_a_material_file(tmp_path):
+    # a {"path", "name"} reference to a copy of a builtin gives its bytes
+    film = tmp_path / "film.csv"
+    film.write_text("frequency_ghz,eps_real,eps_imag\n28.0,2.3,0.0\n")
+    for name, material in [("builtin", "ldpe_film"), ("file", {"path": str(film)})]:
+        cfg = write_config(
+            tmp_path,
+            {
+                "stack": {"layers": [{"material": material, "thickness_mm": 0.1}]},
+                "frequencies_ghz": [28.0],
+                "output_dir": str(tmp_path / name),
+            },
+        )
+        assert main(["reflect", "--config", cfg]) == 0
+    builtin = (tmp_path / "builtin" / "reflection.csv").read_bytes()
+    assert (tmp_path / "file" / "reflection.csv").read_bytes() == builtin
+
+
 def test_reflect_vacuum_slab_writes_negative_infinity(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(
@@ -694,6 +712,15 @@ CONFIG_ERRORS = {
         {"stack": {"layers": [{"material": "ldpe_film", "thickness_mm": -1.0}]}},
         [],
         "stack layer 0",
+    ),
+    "material_file_not_found": (
+        "reflect",
+        lambda tmp_path: {
+            "stack": {"layers": [{"material": {"path": str(tmp_path / "absent.csv")},
+                                  "thickness_mm": 0.1}]}
+        },
+        [],
+        "stack layer 0: material file not found",
     ),
     "empty_frequencies": ("reflect", {"frequencies_ghz": []}, [], "frequencies_ghz"),
     "backward_sweep": (
