@@ -22,7 +22,7 @@ if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.
 import numpy as np
 
 from . import coverage as cov
-from . import deembed, pattern, svgplot, synth
+from . import pattern, svgplot, synth
 from .errors import (
     CapacityError,
     ConfigError,
@@ -109,6 +109,8 @@ def _levels(config):
 
 
 def _windows(config, feeds):
+    from . import deembed
+
     spec = config_value(config, "windows", "object")
     default_hw = config_value(
         config, "window_halfwidth_deg", "number", deembed.DEFAULT_WINDOW_HALFWIDTH_DEG
@@ -188,6 +190,7 @@ def _load_pattern_input(config):
     path = _input_file(config, "pattern")
     pattern_set = pattern.load_pattern_csv(path)
     if "loss_table" in config:
+        from . import deembed
         table = deembed.load_loss_csv(_input_file(config, "loss_table"))
         try:
             pattern_set = deembed.apply_losses(pattern_set, table)
@@ -216,6 +219,8 @@ def cmd_grid(config) -> int:
 
 
 def cmd_deembed(config) -> int:
+    from . import deembed
+
     simulated = pattern.load_pattern_csv(_input_file(config, "simulated"))
     measured = pattern.load_pattern_csv(_input_file(config, "measured"))
     windows = _windows(config, simulated.feeds)
@@ -264,7 +269,7 @@ def _dump_realizations(pattern_set, plan, path) -> None:
     # pattern CSV shape with the feed column renamed; meant for small plans
     rids, fields = [], []
     for spec in plan.sub_arrays:
-        elem = pattern_set.gains[list(spec.feed_indices)]
+        elem = synth.element_gains(pattern_set, spec)
         fields.append(synthesize_fields(elem, synth.enumerate_weights(spec, plan.bits)))
         rids += [f"{spec.label}/{k}" for k in range(len(fields[-1]))]
     columns = pattern.pattern_csv_columns(
@@ -281,9 +286,7 @@ def cmd_coverage(config) -> int:
     cut_thetas = config_value(config, "cut_thetas_deg", "number list", [])
 
     if "coverage_grid" in config:
-        grid = _build_grid(config, "coverage_grid")
-        if not grid.same_directions(pattern_set.grid):
-            pattern_set = pattern.resample(pattern_set, grid)
+        pattern_set = pattern.resample(pattern_set, _build_grid(config, "coverage_grid"))
     cov.direction_weights(pattern_set.grid, weighting)  # fail before the kernel runs
     gain_map = cov.max_gain_over_plan(pattern_set, plan)
     result = cov.coverage_cdf(gain_map, weighting=weighting)
@@ -308,7 +311,9 @@ def cmd_coverage(config) -> int:
     )
     svgplot.line_plot(
         os.path.join(out, "cdf.svg"),
-        [("coverage", result.gain_db, result.cdf)],
+        "coverage",
+        result.gain_db,
+        result.cdf,
         title="Spherical coverage",
         xlabel="max realized gain [dB]",
         ylabel="CDF",
@@ -316,7 +321,9 @@ def cmd_coverage(config) -> int:
     for theta, (phis, gains_db) in cuts:
         svgplot.line_plot(
             os.path.join(out, f"cut_theta_{theta:g}.svg"),
-            [(f"theta={theta:g}", phis, gains_db)],
+            f"theta={theta:g}",
+            phis,
+            gains_db,
             title="Max realized gain cut",
             xlabel="phi [deg]",
             ylabel="gain [dB]",

@@ -16,7 +16,7 @@ from .grid import SphericalGrid, regular_ring_structure
 from .ioutil import float_table, write_csv
 from .kernels import synth_max_accumulate
 from .pattern import ElementPatternSet
-from .synth import SynthesisPlan, enumerate_weights
+from .synth import SynthesisPlan, element_gains, enumerate_weights
 
 WEIGHTING_SOLID_ANGLE = "solid-angle"
 WEIGHTING_SAMPLE_COUNT = "sample-count"
@@ -69,8 +69,8 @@ def max_gain_over_plan(pattern_set: ElementPatternSet, plan: SynthesisPlan) -> G
     best_index = np.zeros(len(grid), dtype=np.int64)
     offset = 0
     for spec in plan.sub_arrays:
+        elem = element_gains(pattern_set, spec)
         phasors = enumerate_weights(spec, plan.bits)
-        elem = pattern_set.gains[list(spec.feed_indices)]
         synth_max_accumulate(elem, phasors, best_power, best_index, offset)
         offset += len(phasors)
     return GainMap(grid, best_power, best_index)

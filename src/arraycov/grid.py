@@ -247,12 +247,10 @@ def regular_ring_structure(grid: SphericalGrid):
     """
     if not grid.is_regular:
         raise ValueError("ring structure requires a regular grid")
-    ring_thetas = np.unique(grid.theta_deg)
-    rings = []
-    for theta in ring_thetas:
-        idx = np.nonzero(grid.theta_deg == theta)[0]
-        rings.append(idx[np.argsort(grid.phi_deg[idx])])
-    return ring_thetas, rings
+    order = np.lexsort((grid.phi_deg, grid.theta_deg))
+    theta = grid.theta_deg[order]
+    starts = np.flatnonzero(theta[1:] != theta[:-1]) + 1
+    return theta[np.concatenate([[0], starts])], np.split(order, starts)
 
 
 def detect_regular_steps(theta_deg, phi_deg):

@@ -147,26 +147,28 @@ def _shortlist(factors, form, lead, group, best_power, margin):
 
     best_block = bound.argmax(axis=0)
     top = np.empty(n_dir, dtype=form.dtype)
-    width = _TILE // _CHUNK
     for block in np.unique(best_block):
-        (near,) = np.nonzero(best_block == block)
-        start = block * _CHUNK
-        for lo in range(0, near.size, width):
-            cols = near[lo : lo + width]
-            top[cols] = (factors[start : start + _CHUNK] @ form[:, cols]).max(axis=0)
+        for cols, q in _block_forms(factors, form, block, best_block == block):
+            top[cols] = q.max(axis=0)
     floor = np.maximum(top, best_power) - 2.0 * margin
     reach = bound >= floor - 2.0 * margin
     rows, dirs = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     for block in np.flatnonzero(reach.any(axis=1)):
-        (near,) = np.nonzero(reach[block])
-        start = block * _CHUNK
-        for lo in range(0, near.size, width):
-            cols = near[lo : lo + width]
-            q = factors[start : start + _CHUNK] @ form[:, cols]
+        for cols, q in _block_forms(factors, form, block, reach[block]):
             r, c = np.nonzero(q >= floor[cols])
-            rows.append(start + r)
+            rows.append(block * _CHUNK + r)
             dirs.append(cols[c])
     return np.concatenate(rows), np.concatenate(dirs)
+
+
+def _block_forms(factors, form, block, mask):
+    """(cols, forms) of a block's rows where mask holds, _TILE // _CHUNK at a time."""
+    (near,) = np.nonzero(mask)
+    rows = factors[block * _CHUNK : (block + 1) * _CHUNK]
+    width = _TILE // _CHUNK
+    for lo in range(0, near.size, width):
+        cols = near[lo : lo + width]
+        yield cols, rows @ form[:, cols]
 
 
 @functools.cache
@@ -287,9 +289,7 @@ def synth_max_accumulate(elem_gains, phasors, best_power, best_index, index_offs
     """
     elem_gains = np.ascontiguousarray(elem_gains, dtype=np.complex128)
     phasors = np.ascontiguousarray(phasors, dtype=np.complex128)
-    n_w, n_el = phasors.shape
-    if not n_w:
-        return
+    n_el = phasors.shape[1]
     # where every gain is zero, every power is exactly 0 and row 0 wins;
     # settled here, as all n_w rows would tie there on the shortlist
     dead = ~elem_gains.any(axis=(0, 2))

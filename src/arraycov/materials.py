@@ -182,13 +182,11 @@ def layered_reflection(
     kz = [_kz(e, eps_inc, sin2, k0) for e in eps]
 
     gamma = _interface(kz[-2], kz[-1], eps[-2], eps[-1], polarization)
-    for i in range(len(stack.layers) - 1, 0, -1):
+    for i in range(len(stack.layers) - 1, -1, -1):
         r = _interface(kz[i], kz[i + 1], eps[i], eps[i + 1], polarization)
         phase = cmath.exp(-2j * kz[i + 1] * stack.layers[i].thickness_mm)
         gamma = (r + gamma * phase) / (1.0 + r * gamma * phase)
-    r0 = _interface(kz[0], kz[1], eps[0], eps[1], polarization)
-    phase = cmath.exp(-2j * kz[1] * stack.layers[0].thickness_mm)
-    return (r0 + gamma * phase) / (1.0 + r0 * gamma * phase)
+    return gamma
 
 
 def reflection_db(gamma: complex) -> float:

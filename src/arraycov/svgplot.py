@@ -7,7 +7,10 @@ and pattern cuts; not a plotting library.
 
 import math
 
-_PALETTE = ["#1f6fb2", "#c4502e", "#3a8a4d", "#7d5ba6", "#a08020", "#555555"]
+_COLOR = "#1f6fb2"
+
+_WIDTH = 640
+_HEIGHT = 420
 
 _MARGIN_L = 62.0
 _MARGIN_R = 16.0
@@ -16,13 +19,8 @@ _MARGIN_B = 46.0
 
 
 def _finite_points(x, y):
-    pts = []
-    for xv, yv in zip(x, y):
-        xv = float(xv)
-        yv = float(yv)
-        if math.isfinite(xv) and math.isfinite(yv):
-            pts.append((xv, yv))
-    return pts
+    pts = zip(map(float, x), map(float, y))
+    return [(xv, yv) for xv, yv in pts if math.isfinite(xv) and math.isfinite(yv)]
 
 
 def _bounds(values):
@@ -43,23 +41,21 @@ def _fmt(v):
     return f"{v:.6g}"
 
 
-def line_plot(path, series, title="", xlabel="", ylabel="", width=640, height=420):
-    """Write an SVG polyline chart.
+def line_plot(path, label, x, y, title, xlabel, ylabel):
+    """Write an SVG chart of one labelled polyline on a 640x420 canvas.
 
-    series is a list of (label, x values, y values); non-finite points
-    are dropped. Empty series after filtering are drawn as nothing but
-    keep their legend entry.
+    Non-finite points are dropped. With no point left, the chart has
+    axes on [0, 1] and a legend entry but no line.
     """
-    plotted = [(label, _finite_points(x, y)) for label, x, y in series]
-    all_pts = [p for _, pts in plotted for p in pts]
-    if all_pts:
-        x_lo, x_hi = _bounds([p[0] for p in all_pts])
-        y_lo, y_hi = _bounds([p[1] for p in all_pts])
+    pts = _finite_points(x, y)
+    if pts:
+        x_lo, x_hi = _bounds([p[0] for p in pts])
+        y_lo, y_hi = _bounds([p[1] for p in pts])
     else:
         x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.0, 1.0
 
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def sx(v):
         return _MARGIN_L + (v - x_lo) / (x_hi - x_lo) * plot_w
@@ -68,71 +64,52 @@ def line_plot(path, series, title="", xlabel="", ylabel="", width=640, height=42
         return _MARGIN_T + plot_h - (v - y_lo) / (y_hi - y_lo) * plot_h
 
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         '<g font-family="sans-serif" font-size="12" fill="#222222">',
-    ]
-    if title:
-        lines.append(
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-size="14">{title}</text>'
-        )
-
-    # frame and ticks
-    lines.append(
+        f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
+        f'font-size="14">{title}</text>',
+        # frame and ticks
         f'<rect x="{_MARGIN_L:.1f}" y="{_MARGIN_T:.1f}" width="{plot_w:.1f}" '
-        f'height="{plot_h:.1f}" fill="none" stroke="#888888"/>'
-    )
+        f'height="{plot_h:.1f}" fill="none" stroke="#888888"/>',
+    ]
     for tx in _ticks(x_lo, x_hi):
         px = sx(tx)
-        lines.append(
+        lines += [
             f'<line x1="{px:.2f}" y1="{_MARGIN_T + plot_h:.1f}" x2="{px:.2f}" '
-            f'y2="{_MARGIN_T + plot_h + 5:.1f}" stroke="#888888"/>'
-        )
-        lines.append(
+            f'y2="{_MARGIN_T + plot_h + 5:.1f}" stroke="#888888"/>',
             f'<text x="{px:.2f}" y="{_MARGIN_T + plot_h + 18:.1f}" '
-            f'text-anchor="middle">{_fmt(tx)}</text>'
-        )
+            f'text-anchor="middle">{_fmt(tx)}</text>',
+        ]
     for ty in _ticks(y_lo, y_hi):
         py = sy(ty)
-        lines.append(
+        lines += [
             f'<line x1="{_MARGIN_L - 5:.1f}" y1="{py:.2f}" x2="{_MARGIN_L:.1f}" '
-            f'y2="{py:.2f}" stroke="#888888"/>'
-        )
-        lines.append(
+            f'y2="{py:.2f}" stroke="#888888"/>',
             f'<text x="{_MARGIN_L - 8:.1f}" y="{py + 4:.2f}" '
-            f'text-anchor="end">{_fmt(ty)}</text>'
-        )
-    if xlabel:
+            f'text-anchor="end">{_fmt(ty)}</text>',
+        ]
+    lines += [
+        f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 10:.1f}" '
+        f'text-anchor="middle">{xlabel}</text>',
+        f'<text x="16" y="{_MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
+        f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.1f})">{ylabel}</text>',
+    ]
+    if pts:
+        coords = " ".join(f"{sx(px):.2f},{sy(py):.2f}" for px, py in pts)
         lines.append(
-            f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{height - 10:.1f}" '
-            f'text-anchor="middle">{xlabel}</text>'
+            f'<polyline points="{coords}" fill="none" stroke="{_COLOR}" '
+            'stroke-width="1.5"/>'
         )
-    if ylabel:
-        lines.append(
-            f'<text x="16" y="{_MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
-            f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.1f})">{ylabel}</text>'
-        )
-
-    for si, (label, pts) in enumerate(plotted):
-        color = _PALETTE[si % len(_PALETTE)]
-        if pts:
-            coords = " ".join(f"{sx(px):.2f},{sy(py):.2f}" for px, py in pts)
-            lines.append(
-                f'<polyline points="{coords}" fill="none" stroke="{color}" '
-                'stroke-width="1.5"/>'
-            )
-        if label:
-            ly = _MARGIN_T + 14 + 16 * si
-            lx = _MARGIN_L + plot_w - 130
-            lines.append(
-                f'<line x1="{lx:.1f}" y1="{ly - 4:.1f}" x2="{lx + 18:.1f}" '
-                f'y2="{ly - 4:.1f}" stroke="{color}" stroke-width="1.5"/>'
-            )
-            lines.append(f'<text x="{lx + 24:.1f}" y="{ly:.1f}">{label}</text>')
-
-    lines.append("</g>")
-    lines.append("</svg>")
+    ly = _MARGIN_T + 14
+    lx = _MARGIN_L + plot_w - 130
+    lines += [
+        f'<line x1="{lx:.1f}" y1="{ly - 4:.1f}" x2="{lx + 18:.1f}" '
+        f'y2="{ly - 4:.1f}" stroke="{_COLOR}" stroke-width="1.5"/>',
+        f'<text x="{lx + 24:.1f}" y="{ly:.1f}">{label}</text>',
+        "</g>",
+        "</svg>",
+    ]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -134,7 +134,9 @@ class SynthesizedPattern:
             return 10.0 * np.log10(p)
 
 
-def _element_gains(pattern_set: ElementPatternSet, spec: SubArraySpec) -> np.ndarray:
+def element_gains(pattern_set: ElementPatternSet, spec: SubArraySpec) -> np.ndarray:
+    """The sub-array's feed gains; ValueError names a sub-array whose feed
+    the set lacks."""
     for i in spec.feed_indices:
         if i >= len(pattern_set.feeds):
             raise ValueError(
@@ -153,7 +155,7 @@ def synthesize(
         raise ValueError(
             f"weight vector has {len(w.phases_deg)} phases, sub-array has {spec.size}"
         )
-    elem = _element_gains(pattern_set, spec)
+    elem = element_gains(pattern_set, spec)
     # a 1-row product is a gemv, whose bits depend on the BLAS thread count
     fields = synthesize_fields(elem, np.stack([w.phasors] * 2))[0]
     return SynthesizedPattern(pattern_set.grid, fields)

@@ -172,6 +172,19 @@ def test_coverage_is_deterministic(tmp_path):
     assert sa == sb
 
 
+def test_pole_cut_charts_its_one_point_deterministically(tmp_path):
+    # the theta=0 ring is one direction, so both axes of its chart have
+    # an empty range
+    charts = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        cfg = coverage_config(tmp_path, out, extra={"cut_thetas_deg": [0.0]})
+        assert main(["coverage", "--config", cfg]) == 0
+        charts.append((out / "cut_theta_0.svg").read_bytes())
+    assert charts[0] == charts[1]
+    assert b'<polyline points="343.00,204.00" ' in charts[0]
+
+
 def test_coverage_bytes_do_not_depend_on_blas_threads(tmp_path):
     # c10's layout at a coarser grid: 8 feeds, 4 overlapping sub-arrays, 3 bits
     grid = make_regular_grid(2.0, 10.0)
@@ -531,6 +544,18 @@ def test_non_utf8_pattern_or_sidecar_exits_3(tmp_path, capsys):
     assert "parse error: invalid JSON" in capsys.readouterr().err
 
 
+def test_infinite_loss_exits_3_naming_the_loss_table(tmp_path, capsys):
+    loss_path = tmp_path / "losses.csv"
+    loss_path.write_text("feed,loss_db,window_halfwidth_deg\nf0,inf,60.0\nf1,1.0,60.0\n")
+    out = tmp_path / "out"
+    cfg = coverage_config(tmp_path, out, extra={"loss_table": str(loss_path)})
+    assert main(["coverage", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "parse error: loss for feed f0 is not finite" in err
+    assert str(loss_path) in err
+    assert not out.exists()
+
+
 def test_oversized_loss_table_field_exits_3_naming_row(tmp_path, capsys):
     loss_path = tmp_path / "losses.csv"
     loss_path.write_text(
@@ -768,6 +793,12 @@ def test_config_error_exits_2_naming_the_key(tmp_path, capsys, command, changes,
 def test_import_cli_loads_no_materials():
     # only reflect reads a material
     code = "import sys, arraycov.cli; print('arraycov.materials' in sys.modules)"
+    assert run_child(code) == ["False"]
+
+
+def test_import_cli_loads_no_deembed():
+    # only deembed and a coverage or synth run with a loss_table use it
+    code = "import sys, arraycov.cli; print('arraycov.deembed' in sys.modules)"
     assert run_child(code) == ["False"]
 
 

@@ -129,6 +129,15 @@ def test_max_single_realization_identity():
     assert np.all(out.best_index == 0)
 
 
+def test_plan_naming_a_missing_feed_raises_value_error():
+    # an IndexError would reach the command line as no EXIT_CODES row
+    grid = make_uniform_sphere_grid(30)
+    pset, _ = random_single_element_plan(grid, 8)
+    plan = SynthesisPlan((SubArraySpec("s", (0, 1)), SubArraySpec("edge", (7, 8))), bits=1)
+    with pytest.raises(ValueError, match="sub-array 'edge' references feed index 8"):
+        max_gain_over_plan(pset, plan)
+
+
 def test_max_dominant_realization_wins():
     grid = make_uniform_sphere_grid(30)
     pset, plan = random_single_element_plan(grid, 2, seed=3)
@@ -297,6 +306,14 @@ def test_zero_gain_directions_handled():
     assert result.gain_db[0] == -math.inf
     p = percentile_gain(result, 0.5)
     assert math.isfinite(p)
+
+
+def test_percentile_above_a_zero_gain_bracket_is_the_upper_gain():
+    # zero-gain directions put -inf dB at the bottom of the CDF; a level
+    # just above them takes the next gain, with no interpolation through -inf
+    result = CoverageResult(np.array([-math.inf, 3.0, 5.0]), np.array([0.25, 0.5, 1.0]))
+    assert percentile_gain(result, 0.3) == 3.0
+    assert percentile_gain(result, 0.75) == 4.0
 
 
 def test_percentile_validation():

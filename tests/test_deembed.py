@@ -236,6 +236,10 @@ def test_loss_csv_errors(tmp_path):
     path.write_text("feed,loss_db,window_halfwidth_deg\n1V,1.0,60\n1V,2.0,60\n")
     with pytest.raises(ParseError):
         load_loss_csv(path)
+    path.write_text("feed,loss_db,window_halfwidth_deg\n1V,inf,60\n")
+    with pytest.raises(ParseError, match="not finite") as err:
+        load_loss_csv(path)
+    assert err.value.path == path
 
 
 def test_table_validation():

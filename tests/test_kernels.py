@@ -230,6 +230,38 @@ def test_direction_tiles_match_reference(monkeypatch, bits, n_dir, probe, partia
     assert_matches_reference(gains, phasors, second)
 
 
+def tied_gains(rows, n_dir, rng):
+    """Gains at which the two rows' exact powers tie at every direction:
+    random theta-polarized gains, and phi-polarized ones scaled so that
+    they make up the difference."""
+    a, b = rows
+    gains = []
+    while len(gains) < n_dir:
+        g, h = rng.normal(size=(2, len(a))) + 1j * rng.normal(size=(2, len(a)))
+        s2 = (abs(a @ g) ** 2 - abs(b @ g) ** 2) / (abs(b @ h) ** 2 - abs(a @ h) ** 2)
+        if s2 > 0.0:
+            gains.append(np.stack([g, np.sqrt(s2) * h], axis=1))
+    return np.stack(gains, axis=1)
+
+
+@pytest.mark.parametrize("n_el", [2, 3, 4, 5])
+def test_near_ties_match_reference(n_el):
+    # The exact powers of the two rows differ by a few float64 ulps, their
+    # float32 forms by up to a few eps32 either way, so the select's float32
+    # margin decides whether the row that the exact powers pick is kept.
+    # The second call's rows beat the carried best powers by 2^-40 or less.
+    rng = np.random.default_rng(n_el)
+    rows = np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=(2, n_el)))
+    gains = tied_gains(rows, 2000, rng)
+    states = fresh_state(2000), fresh_state(2000)
+    for fn, (best_power, best_index) in zip(
+        (synth_max_accumulate, reference_synth_max), states
+    ):
+        fn(gains, rows, best_power, best_index, 0)
+        fn(gains, rows[::-1] * (1.0 + 2.0**-41), best_power, best_index, 2)
+    assert_same_bits(*states)
+
+
 def test_lone_winner_recomputed_in_a_full_size_call():
     # one dominant row wins every direction; a 1-row (gemv) recompute
     # would round differently from its 128-row chunk

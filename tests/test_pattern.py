@@ -624,6 +624,27 @@ def test_blank_lines_ignored(tmp_path):
     assert spaced.grid.same_directions(plain.grid)
 
 
+def test_lone_carriage_returns_load_like_newlines(tmp_path):
+    # more rows than newlines: the chunked read gives way to the row-by-row one
+    rows = _minimal_rows("a") + _minimal_rows("b")
+    plain = load_pattern_csv(_write_rows(tmp_path, rows, "plain.csv"))
+    path = tmp_path / "cr.csv"
+    path.write_bytes(("\r".join([HEADER] + rows) + "\r").encode())
+    assert pattern._read_chunks(path) is None
+    loaded = load_pattern_csv(path)
+    assert loaded.feeds == plain.feeds
+    assert loaded.gains.tobytes() == plain.gains.tobytes()
+    assert loaded.grid.same_directions(plain.grid)
+
+
+def test_blank_feed_label_rejected_at_row(tmp_path):
+    rows = _minimal_rows()
+    rows[2] = " " + rows[2][1:]
+    with pytest.raises(ParseError, match="empty feed label") as err:
+        load_pattern_csv(_write_rows(tmp_path, rows))
+    assert err.value.row == 4
+
+
 @pytest.mark.parametrize(
     "extra, message",
     [
