@@ -44,7 +44,7 @@ _TILE = 2**15
 
 # directions per narrowed exact call; even, so that only an odd call's
 # last tile has a 2-column tail (see _tiles)
-_EXACT_TILE = 512
+_EXACT_TILE = 256
 
 
 def synthesize_fields(elem_gains, phasors):
@@ -71,15 +71,15 @@ def _form_factors(elem_gains, phasors):
     factors = np.concatenate(
         [phasors.real**2 + phasors.imag**2, cross_w.real, cross_w.imag], axis=1
     )
+    # one element or pair at a time, so that no (N, n_dir, 2) temporary is alive
     form = np.empty((n_el**2, n_dir))
-    diag = form[:n_el]
-    np.sum(elem_gains.real**2 + elem_gains.imag**2, axis=2, out=diag)
-    # one pair at a time, so that no (pairs, n_dir, 2) product is alive
+    for i, g in enumerate(elem_gains):
+        form[i] = (g.real**2 + g.imag**2).sum(axis=1)
     for k, (i, j) in enumerate(zip(m, n)):
         cross_r = (elem_gains[i] * elem_gains[j].conj()).sum(axis=1)
         form[n_el + k] = 2.0 * cross_r.real
         form[n_el + m.size + k] = -2.0 * cross_r.imag
-    return factors, form, diag
+    return factors, form
 
 
 def _group_size(phasors):
@@ -118,43 +118,47 @@ def _shortlist(factors, form, lead, group, best_power, margin):
     m, n = np.triu_indices(n_el, k=1)
     (pairs,) = np.nonzero(n == n_el - 1)
     cross_re, cross_im = n_el + pairs, n_el + m.size + pairs
-    own = np.setdiff1d(np.arange(n_terms), np.concatenate([cross_re, cross_im]))
+    keep = np.ones(n_terms, dtype=bool)
+    keep[cross_re] = keep[cross_im] = False
+    own = np.flatnonzero(keep)
     # per group: the shared phasors' form terms, with a^2 in |w_L|^2's column
     shared = factors[::group, own]
     shared[:, n_el - 1] = factors[:, n_el - 1].reshape(-1, group).max(axis=1)
-    # a * w_m against 2 R_mL, with the real and imaginary parts of each
-    # direction in adjacent columns: the product, read as complex, is 2 a u
+    # per group: a * w_m for m < L
     lead = lead * np.sqrt(shared[:, n_el - 1 : n_el])
-    re, im = form[cross_re], form[cross_im]
-    cross = np.stack([np.concatenate([re, im]), np.concatenate([-im, re])], axis=2)
-    cross = cross.reshape(lead.shape[1], 2 * n_dir)
-    form_own = form[own]
     n_groups = shared.shape[0]
     per_block = _CHUNK // group
     n_full = n_groups // per_block
     n_blocks = -(-n_w // _CHUNK)
     bound = np.empty((n_blocks, n_dir), dtype=form.dtype)
+    best_block = np.empty(n_dir, dtype=np.intp)
     width = max(1, _TILE // n_groups)
+    # the form rows are gathered per tile, so that no copy of them is alive
     for start in range(0, n_dir, width):
         cols = slice(start, start + width)
-        tile = shared @ form_own[:, cols]
-        two_au = lead @ cross[:, 2 * start : 2 * (start + width)]
+        tile = shared @ form[own, cols]
+        # a * w_m against 2 R_mL, with the real and imaginary parts of each
+        # direction in adjacent columns: the product, read as complex, is 2 a u
+        re, im = form[cross_re, cols], form[cross_im, cols]
+        cross = np.stack([np.concatenate([re, im]), np.concatenate([-im, re])], axis=2)
+        two_au = lead @ cross.reshape(lead.shape[1], 2 * tile.shape[1])
         tile += np.abs(two_au.view(np.complex64))
         full = tile[: n_full * per_block]
         bound[:n_full, cols] = full.reshape(n_full, per_block, tile.shape[1]).max(axis=1)
         if n_full < n_blocks:
             bound[n_full, cols] = tile[n_full * per_block :].max(axis=0)
+        # per tile, as an argmax over the first axis copies its input
+        best_block[cols] = bound[:, cols].argmax(axis=0)
 
-    best_block = bound.argmax(axis=0)
     top = np.empty(n_dir, dtype=form.dtype)
-    for block in np.unique(best_block):
+    for block in np.flatnonzero(np.bincount(best_block)):
         for cols, q in _block_forms(factors, form, block, best_block == block):
             top[cols] = q.max(axis=0)
     floor = np.maximum(top, best_power) - 2.0 * margin
-    reach = bound >= floor - 2.0 * margin
+    below = floor - 2.0 * margin
     rows, dirs = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for block in np.flatnonzero(reach.any(axis=1)):
-        for cols, q in _block_forms(factors, form, block, reach[block]):
+    for block, block_bound in enumerate(bound):
+        for cols, q in _block_forms(factors, form, block, block_bound >= below):
             r, c = np.nonzero(q >= floor[cols])
             rows.append(block * _CHUNK + r)
             dirs.append(cols[c])
@@ -196,24 +200,24 @@ def _narrowing_is_exact(n_el):
     return True
 
 
-def _call_columns(needed, n_dir):
+def _call_columns(take):
     """The sorted directions one exact call synthesizes.
 
-    needed is sorted and unique; each of its directions gets the bits of
-    the full-width call. A call of even width has no 2-column tail.
-    Where the full call has one (odd n_dir) and a needed direction lies
-    in it, the call has odd width and ends in that direction too.
-    Padding takes the lowest directions not needed; no call is one
-    direction wide, and where padding cannot reach the width, the call
-    takes every direction.
+    take marks the needed directions of all n_dir (bool, at least one)
+    and is padded in place; each needed direction gets the bits of the
+    full-width call. A call of even width has no 2-column tail. Where the
+    full call has one (odd n_dir) and a needed direction lies in it, the
+    call has odd width and ends in that direction too. Padding takes the
+    lowest directions not needed; no call is one direction wide, and
+    where padding cannot reach the width, the call takes every direction.
     """
-    tail = n_dir % 2 == 1 and needed[-1] == n_dir - 1
-    width = max(needed.size + (needed.size + tail) % 2, 2 + tail)
+    n_dir = take.size
+    needed = np.count_nonzero(take)
+    tail = int(n_dir % 2 == 1 and take[-1])
+    width = max(needed + (needed + tail) % 2, 2 + tail)
     if width >= n_dir:
         return np.arange(n_dir)
-    take = np.zeros(n_dir, dtype=bool)
-    take[needed] = True
-    take[np.flatnonzero(~take[:width])[: width - needed.size]] = True
+    take[np.flatnonzero(~take[:width])[: width - needed]] = True
     return np.flatnonzero(take)
 
 
@@ -249,9 +253,11 @@ def _exact_powers(elem_gains, phasors, rows, dirs):
     n_el, n_dir, _ = elem_gains.shape
     narrow = _narrowing_is_exact(n_el)
     n_full = n_w // _CHUNK * _CHUNK
-    packed = np.unique(rows[rows < n_full])
+    seen = np.zeros(n_w, dtype=bool)
+    seen[rows] = True
+    packed = np.flatnonzero(seen[:n_full])
     calls = [(packed[s : s + _CHUNK], _CHUNK) for s in range(0, packed.size, _CHUNK)]
-    if (rows >= n_full).any():
+    if seen[n_full:].any():
         calls.append((np.arange(n_full, n_w), n_w - n_full))
     power = np.empty(rows.size)
     slot = np.empty(n_w, dtype=np.intp)
@@ -262,7 +268,9 @@ def _exact_powers(elem_gains, phasors, rows, dirs):
         hit = pos >= 0
         r, d = pos[hit], dirs[hit]
         if narrow and size > 1:
-            cols = _call_columns(np.unique(d), n_dir)
+            need = np.zeros(n_dir, dtype=bool)
+            need[d] = True
+            cols = _call_columns(need)
             tiles = _tiles(cols.size)
         else:
             cols, tiles = np.arange(n_dir), [slice(0, n_dir)]
@@ -291,14 +299,13 @@ def synth_max_accumulate(elem_gains, phasors, best_power, best_index, index_offs
     phasors = np.ascontiguousarray(phasors, dtype=np.complex128)
     n_el = phasors.shape[1]
     # where every gain is zero, every power is exactly 0 and row 0 wins;
-    # settled here, as all n_w rows would tie there on the shortlist
+    # settled here and kept off the shortlist, where all n_w rows would tie
     dead = ~elem_gains.any(axis=(0, 2))
     settle = dead & (best_power < 0.0)
     best_power[settle] = 0.0
     best_index[settle] = index_offset
-    (live,) = np.nonzero(~dead)
 
-    factors, form, diag = _form_factors(elem_gains[:, live], phasors)
+    factors, form = _form_factors(elem_gains, phasors)
     # Rounding margin, absolute per direction. Let s = max|w| * sum_m
     # sqrt(R_mm). The absolute values of the form's N^2 terms sum to at
     # most s^2, and so do the squared magnitude sums of the two fields
@@ -310,7 +317,7 @@ def synth_max_accumulate(elem_gains, phasors, best_power, best_index, index_offs
     # absolute, scaled by up to max|w|^2. The winner's power is the
     # largest, so its form is at most 2 * margin below the largest form.
     w_max = np.abs(phasors).max()
-    gain_sum = np.sqrt(diag).sum(axis=0)
+    gain_sum = np.sqrt(form[:n_el]).sum(axis=0)
     scale = w_max * gain_sum
     fp = np.finfo(np.float64)
     margin = 16.0 * n_el**2 * fp.eps * (scale**2 + fp.tiny * (1.0 + w_max**2))
@@ -320,8 +327,9 @@ def synth_max_accumulate(elem_gains, phasors, best_power, best_index, index_offs
     # N^2 terms sum to at most 1. In these units the margin is margin /
     # norm plus float32's own rounding: converting F and A (2 u32 per
     # term), the GEMM's products and sums in any order (N^2 u32) and the
-    # floor's subtraction stay within (N^2 + 3) u32, which 16 N^2 eps32
-    # covers twice over. Below float32's normal range each term may be
+    # floor's subtraction stay within (N^2 + 3) u32. 16 N^2 eps32, that is
+    # 32 N^2 u32, covers that 8 times over at N = 1 and nearly 32 times
+    # as N grows. Below float32's normal range each term may be
     # off by up to 3 u32 tiny32 more, hence the tiny32 term. Best powers
     # are clipped to +-2^64 in these units, beyond any form, so that none
     # overflows float32; a lower floor only keeps more rows.
@@ -341,18 +349,24 @@ def synth_max_accumulate(elem_gains, phasors, best_power, best_index, index_offs
     norm = w2 * col
     f32 = np.finfo(np.float32)
     margin32 = margin / norm + 16.0 * n_el**2 * f32.eps * (1.0 + f32.tiny)
-    best = np.clip(best_power[live], -_CLIP * norm, _CLIP * norm) / norm
+    best = np.clip(best_power, -_CLIP * norm, _CLIP * norm) / norm
+    # above every form, so that no row reaches the floor there
+    best[dead] = _CLIP
+    # only the float32 copies stay alive through the select
+    factors /= w2
+    factors = factors.astype(np.float32)
+    form /= col
+    form = form.astype(np.float32)
     group = _group_size(phasors)
     lead = phasors[::group, :-1] / np.sqrt(w2)
     rows, dirs = _shortlist(
-        (factors / w2).astype(np.float32),
-        (form / col).astype(np.float32),
+        factors,
+        form,
         np.concatenate([lead.real, lead.imag], axis=1).astype(np.float32),
         group,
         best.astype(np.float32),
         margin32.astype(np.float32),
     )
-    dirs = live[dirs]
     power = _exact_powers(elem_gains, phasors, rows, dirs)
     # per direction: the largest exact power, lowest row among equals
     order = np.lexsort((rows, -power, dirs))

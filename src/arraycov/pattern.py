@@ -256,7 +256,11 @@ def _merge_directions(path, feeds, feed_id, angles, samples):
     later row in file order.
     """
     theta, phi = angles[:, 0], angles[:, 1]
-    key_t, key_p = direction_keys(theta, phi)
+    # one chunk at a time, so that only a chunk's temporaries are alive
+    key_t, key_p = np.empty(theta.size), np.empty(theta.size)
+    for lo in range(0, theta.size, _CHUNK_ROWS):
+        rows = slice(lo, lo + _CHUNK_ROWS)
+        key_t[rows], key_p[rows] = direction_keys(theta[rows], phi[rows])
     order = _sort_rows(feed_id, key_t, key_p)
     a, b = order[:-1], order[1:]
     starts = np.ones(order.size, dtype=bool)

@@ -803,6 +803,33 @@ def test_import_cli_loads_no_deembed():
 
 
 @pytest.mark.parametrize(
+    "extra",
+    [{"cut_thetas_deg": [90.0]}, {"coverage_grid": {"kind": "uniform-sphere", "points": 40}}],
+    ids=["cut", "resampled"],
+)
+def test_coverage_run_loads_no_numpy_ma(tmp_path, extra):
+    # a plain np.unique imports numpy.ma, whose import keeps about 1 MiB
+    # of heap and takes about 18 ms; the coverage path calls none
+    feeds = ("f0", "f1", "f2", "f3")
+    loss_path = tmp_path / "losses.csv"
+    loss_path.write_text(
+        "feed,loss_db,window_halfwidth_deg\n" + "".join(f"{f},10.5,60.0\n" for f in feeds)
+    )
+    plan = {"bits": 3, "sub_arrays": [{"label": "s", "feeds": list(feeds)}]}
+    cfg = coverage_config(
+        tmp_path,
+        tmp_path / "out",
+        extra={"plan": plan, "loss_table": str(loss_path), **extra},
+        feeds=feeds,
+    )
+    code = (
+        "import sys; from arraycov.cli import main; "
+        f"print(main(['coverage', '--config', {cfg!r}]), 'numpy.ma' in sys.modules)"
+    )
+    assert run_child(code) == ["0", "False"]
+
+
+@pytest.mark.parametrize(
     "command, flag, value",
     [("reflect", "--bits", "3"), ("grid", "--levels", "0.5"),
      ("compare", "--grid-points", "40"), ("deembed", "--bits", "2")],

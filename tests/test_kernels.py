@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -407,6 +408,23 @@ def test_all_zero_directions_stay_off_the_shortlist(monkeypatch):
     assert_same_bits(*states)
     assert np.all(states[0][1][:30] == 0)
     assert max(shortlisted) < 600
+
+
+def test_kernel_peak_memory():
+    # a full-scale 4-bit sub-array: 4096 rows on the 6446 directions of the
+    # 1 deg x 10 deg grid. Only the float32 form and factors, the block
+    # bounds and one tile of temporaries are alive at once.
+    rng = np.random.default_rng(12)
+    gains = rng.normal(size=(4, 6446, 2)) + 1j * rng.normal(size=(4, 6446, 2))
+    phasors = enumerate_weights(SubArraySpec("s", (0, 1, 2, 3)), 4)
+    best_power, best_index = fresh_state(6446)
+    tracemalloc.start()
+    try:
+        synth_max_accumulate(gains, phasors, best_power, best_index, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * gains.nbytes
 
 
 def test_chunked_numpy_path_spans_boundaries():
