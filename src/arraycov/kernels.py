@@ -63,22 +63,24 @@ def _form_factors(elem_gains, phasors):
     """F (n_w, N^2) and A (N^2, n_dir) with (F @ A)[k, d] = P(w_k, d).
 
     With c_mn = w_m conj(w_n), P = sum_m |w_m|^2 R_mm
-    + sum_{m<n} (Re c_mn 2 Re R_mn - Im c_mn 2 Im R_mn).
+    + sum_{m<n} (Re c_mn 2 Re R_mn - Im c_mn 2 Im R_mn). The pairs go
+    in order of n, each with its Re and Im terms side by side, so the
+    last 2 (N - 1) terms are those of the last element's pairs.
     """
     n_el, n_dir, _ = elem_gains.shape
-    m, n = np.triu_indices(n_el, k=1)
-    cross_w = phasors[:, m] * phasors[:, n].conj()
-    factors = np.concatenate(
-        [phasors.real**2 + phasors.imag**2, cross_w.real, cross_w.imag], axis=1
-    )
+    n, m = np.tril_indices(n_el, k=-1)
+    # C-ordered, so that its float64 view interleaves Re and Im in place
+    cross_w = np.empty((phasors.shape[0], m.size), dtype=np.complex128)
+    np.multiply(phasors[:, m], phasors[:, n].conj(), out=cross_w)
+    factors = np.hstack([phasors.real**2 + phasors.imag**2, cross_w.view(np.float64)])
     # one element or pair at a time, so that no (N, n_dir, 2) temporary is alive
     form = np.empty((n_el**2, n_dir))
     for i, g in enumerate(elem_gains):
         form[i] = (g.real**2 + g.imag**2).sum(axis=1)
     for k, (i, j) in enumerate(zip(m, n)):
         cross_r = (elem_gains[i] * elem_gains[j].conj()).sum(axis=1)
-        form[n_el + k] = 2.0 * cross_r.real
-        form[n_el + m.size + k] = -2.0 * cross_r.imag
+        form[n_el + 2 * k] = 2.0 * cross_r.real
+        form[n_el + 2 * k + 1] = -2.0 * cross_r.imag
     return factors, form
 
 
@@ -100,7 +102,7 @@ def _shortlist(factors, form, lead, group, best_power, margin):
     """(row, direction) pairs whose form is within 2*margin of the maximum.
 
     Rows come in phase groups of `group` rows that share every phasor but
-    the last, w_L; lead holds each group's shared phasors. With
+    the last, w_L; lead (complex) holds each group's shared phasors. With
     u = sum_{m<L} w_m R_mL, a row's form is Q + |w_L|^2 R_LL
     + 2 Re(conj(w_L) u), where Q is the form of the shared phasors
     alone. So Q + a^2 R_LL + 2 a |u|, with a the group's largest |w_L|,
@@ -113,19 +115,16 @@ def _shortlist(factors, form, lead, group, best_power, margin):
     below the floor, and keeps the rows whose form reaches the floor.
     """
     n_w, n_terms = factors.shape
-    n_el = lead.shape[1] // 2 + 1
+    n_el = lead.shape[1] + 1
     n_dir = form.shape[1]
-    m, n = np.triu_indices(n_el, k=1)
-    (pairs,) = np.nonzero(n == n_el - 1)
-    cross_re, cross_im = n_el + pairs, n_el + m.size + pairs
-    keep = np.ones(n_terms, dtype=bool)
-    keep[cross_re] = keep[cross_im] = False
-    own = np.flatnonzero(keep)
+    own = n_terms - 2 * (n_el - 1)  # w_L's pair terms come last (see _form_factors)
     # per group: the shared phasors' form terms, with a^2 in |w_L|^2's column
-    shared = factors[::group, own]
+    shared = factors[::group, :own].copy()
     shared[:, n_el - 1] = factors[:, n_el - 1].reshape(-1, group).max(axis=1)
-    # per group: a * w_m for m < L
-    lead = lead * np.sqrt(shared[:, n_el - 1 : n_el])
+    # per group: a * w_m for m < L, as float32 Re/Im pairs. Against 2 R_mL and
+    # 1j * 2 R_mL read the same way, one real GEMM gives 2 a u as complex; a
+    # complex64 GEMM would page in about 0.4 MiB of BLAS code.
+    lead = (lead * np.sqrt(shared[:, n_el - 1 : n_el])).view(np.float32)
     n_groups = shared.shape[0]
     per_block = _CHUNK // group
     n_full = n_groups // per_block
@@ -133,16 +132,12 @@ def _shortlist(factors, form, lead, group, best_power, margin):
     bound = np.empty((n_blocks, n_dir), dtype=form.dtype)
     best_block = np.empty(n_dir, dtype=np.intp)
     width = max(1, _TILE // n_groups)
-    # the form rows are gathered per tile, so that no copy of them is alive
     for start in range(0, n_dir, width):
         cols = slice(start, start + width)
-        tile = shared @ form[own, cols]
-        # a * w_m against 2 R_mL, with the real and imaginary parts of each
-        # direction in adjacent columns: the product, read as complex, is 2 a u
-        re, im = form[cross_re, cols], form[cross_im, cols]
-        cross = np.stack([np.concatenate([re, im]), np.concatenate([-im, re])], axis=2)
-        two_au = lead @ cross.reshape(lead.shape[1], 2 * tile.shape[1])
-        tile += np.abs(two_au.view(np.complex64))
+        tile = shared @ form[:own, cols]
+        cross = np.repeat(form[own::2, cols] - 1j * form[own + 1 :: 2, cols], 2, axis=0)
+        cross[1::2] *= 1j
+        tile += np.abs((lead @ cross.view(np.float32)).view(np.complex64))
         full = tile[: n_full * per_block]
         bound[:n_full, cols] = full.reshape(n_full, per_block, tile.shape[1]).max(axis=1)
         if n_full < n_blocks:
@@ -362,7 +357,7 @@ def synth_max_accumulate(elem_gains, phasors, best_power, best_index, index_offs
     rows, dirs = _shortlist(
         factors,
         form,
-        np.concatenate([lead.real, lead.imag], axis=1).astype(np.float32),
+        lead.astype(np.complex64),
         group,
         best.astype(np.float32),
         margin32.astype(np.float32),

@@ -234,21 +234,10 @@ def _read_table(path):
     return *_number_feeds(runs, len(rows)), angles, samples.view(np.float64), error
 
 
-def _sort_rows(feed_id, key_t, key_p):
-    """np.lexsort((key_p, key_t, feed_id)): file order within a key. Rows
-    already in that order, as save_pattern_csv writes them, are not sorted."""
-    f, t, p = feed_id, key_t, key_p
-    if (
-        (f[1:] > f[:-1])
-        | ((f[1:] == f[:-1]) & ((t[1:] > t[:-1]) | ((t[1:] == t[:-1]) & (p[1:] >= p[:-1]))))
-    ).all():
-        return np.arange(f.size)
-    return np.lexsort((key_p, key_t, feed_id))
-
-
 def _merge_directions(path, feeds, feed_id, angles, samples):
-    """Rows that hold each feed's samples, sorted by feed, then by
-    direction key; returns them with the keys of every row.
+    """(rows, feed_id, key_t, key_p) of the rows that hold each feed's
+    samples, sorted by feed, then by direction key, file order within a
+    key; rows is None where that is every row in file order.
 
     Repeated pole rows (theta 0 or 180 at several phi) merge into the first
     one. A repeated non-pole direction, or a pole row that disagrees with
@@ -259,14 +248,23 @@ def _merge_directions(path, feeds, feed_id, angles, samples):
     # one chunk at a time, so that only a chunk's temporaries are alive
     key_t, key_p = np.empty(theta.size), np.empty(theta.size)
     for lo in range(0, theta.size, _CHUNK_ROWS):
-        rows = slice(lo, lo + _CHUNK_ROWS)
-        key_t[rows], key_p[rows] = direction_keys(theta[rows], phi[rows])
-    order = _sort_rows(feed_id, key_t, key_p)
-    a, b = order[:-1], order[1:]
-    starts = np.ones(order.size, dtype=bool)
-    starts[1:] = (feed_id[a] != feed_id[b]) | (key_t[a] != key_t[b]) | (key_p[a] != key_p[b])
-    later = order[~starts]
-    first = order[starts][np.cumsum(starts)[~starts] - 1]
+        chunk = slice(lo, lo + _CHUNK_ROWS)
+        key_t[chunk], key_p[chunk] = direction_keys(theta[chunk], phi[chunk])
+    f, t, p, order = feed_id, key_t, key_p, None
+    if not (
+        (f[1:] > f[:-1])
+        | ((f[1:] == f[:-1]) & ((t[1:] > t[:-1]) | ((t[1:] == t[:-1]) & (p[1:] >= p[:-1]))))
+    ).all():
+        order = np.lexsort((p, t, f))
+        f, t, p = f[order], t[order], p[order]
+    starts = np.ones(f.size, dtype=bool)
+    starts[1:] = (f[1:] != f[:-1]) | (t[1:] != t[:-1]) | (p[1:] != p[:-1])
+    if starts.all():
+        return order, f, t, p
+    rows, later = np.flatnonzero(starts), np.flatnonzero(~starts)
+    if order is not None:
+        rows, later = order[rows], order[later]
+    first = rows[np.cumsum(starts)[~starts] - 1]
     diff = samples[later] - samples[first]
     bad = (
         ~_is_pole(theta[later])
@@ -275,13 +273,13 @@ def _merge_directions(path, feeds, feed_id, angles, samples):
     )
     if bad.any():
         i = later[bad].min()
-        feed, t, p = feeds[feed_id[i]], float(theta[i]), float(phi[i])
-        if _is_pole(t):
-            message = f"conflicting pole samples for feed {feed} at theta={t}"
+        feed, at_t, at_p = feeds[feed_id[i]], float(theta[i]), float(phi[i])
+        if _is_pole(at_t):
+            message = f"conflicting pole samples for feed {feed} at theta={at_t}"
         else:
-            message = f"duplicate direction theta={t} phi={p} for feed {feed}"
+            message = f"duplicate direction theta={at_t} phi={at_p} for feed {feed}"
         raise ParseError(message, path=path, row=_row_number(path, i))
-    return order[starts], key_t, key_p
+    return rows, f[starts], t[starts], p[starts]
 
 
 def load_pattern_csv(path) -> ElementPatternSet:
@@ -293,17 +291,18 @@ def load_pattern_csv(path) -> ElementPatternSet:
     sample and must agree within 1e-7.
     """
     feeds, feed_id, angles, samples, error = _read_table(path)
-    rows, key_t, key_p = _merge_directions(path, feeds, feed_id, angles, samples)
+    rows, feed_id, key_t, key_p = _merge_directions(path, feeds, feed_id, angles, samples)
+    del angles
     if error is not None:
         raise error
     if not feeds:
         raise ParseError("no samples", path=path)
 
     # rows are grouped by feed; every feed must cover feed 0's key set
-    ends = np.cumsum(np.bincount(feed_id[rows], minlength=len(feeds)))
-    ref_t, ref_p = key_t[rows[: ends[0]]], key_p[rows[: ends[0]]]
+    ends = np.cumsum(np.bincount(feed_id, minlength=len(feeds)))
+    ref_t, ref_p = key_t[: ends[0]], key_p[: ends[0]]
     for fi in range(1, len(feeds)):
-        own = rows[ends[fi - 1] : ends[fi]]
+        own = slice(ends[fi - 1], ends[fi])
         if not (np.array_equal(key_t[own], ref_t) and np.array_equal(key_p[own], ref_p)):
             raise ParseError(
                 f"feed {feeds[fi]} covers different directions than feed {feeds[0]}",
@@ -332,9 +331,9 @@ def load_pattern_csv(path) -> ElementPatternSet:
             path=path,
         )
     # of the per-row arrays, only samples is alive while the gains are gathered
-    del angles, feed_id, key_t, key_p
+    del feed_id, key_t, key_p
     # a file in grid order, as save_pattern_csv writes it, is read in place
-    if rows.size < len(samples) or (rows[1:] < rows[:-1]).any():
+    if rows is not None:
         samples = samples[rows]
     gains = samples.view(np.complex128).reshape(len(feeds), -1, 2)
 

@@ -65,6 +65,20 @@ def test_synthesize_fields_matches_einsum():
     assert out.shape == (19, 37, 2)
 
 
+@pytest.mark.parametrize("n_el", [1, 2, 3, 4, 5])
+def test_form_factors_layout(n_el):
+    # the select takes the last element's pair terms as the last
+    # 2 (N - 1) columns of the factors, Re and Im side by side
+    gains, phasors = random_problem(n_el, 41, 23, seed=n_el)
+    factors, form = kernels._form_factors(gains, phasors)
+    fields = synthesize_fields(gains, phasors)
+    power = np.abs(fields[:, :, 0]) ** 2 + np.abs(fields[:, :, 1]) ** 2
+    np.testing.assert_allclose(factors @ form, power, rtol=1e-12)
+    last = phasors[:, :-1] * phasors[:, -1:].conj()
+    expected = np.stack([last.real, last.imag], axis=2).reshape(23, -1)
+    np.testing.assert_array_equal(factors[:, n_el**2 - 2 * (n_el - 1) :], expected)
+
+
 @pytest.fixture
 def fresh_probe():
     kernels._narrowing_is_exact.cache_clear()

@@ -576,7 +576,8 @@ def test_pole_merge_matches_row_by_row_reference(
 
 def test_reader_peak_memory(tmp_path):
     # the full-scale input: 8 feeds on the 1 deg x 10 deg grid. The read
-    # holds one chunk's labels at a time and reads the gains in place.
+    # holds one chunk's labels at a time, gathers no per-row array of a
+    # file in grid order and reads the gains in place.
     path = tmp_path / "patterns.csv"
     save_pattern_csv(random_set(1.0, 10.0, n_feeds=8), path)
     tracemalloc.start()
@@ -585,7 +586,7 @@ def test_reader_peak_memory(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * loaded.gains.nbytes
+    assert peak <= 2.6 * loaded.gains.nbytes
 
 
 def _minimal_rows(label="a"):
