@@ -113,14 +113,6 @@ def _parse_pattern_rows(path):
         yield row, feed, theta, phi % 360.0, complex(g[0], g[1]), complex(g[2], g[3])
 
 
-def _row_number(path, index):
-    """File row of the index-th data row; blank rows are skipped by the
-    readers, so the two differ."""
-    for i, row in enumerate(_parse_pattern_rows(path)):
-        if i == index:
-            return row[0]
-
-
 # data rows the fast read parses at a time; only one chunk's labels are alive
 _CHUNK_ROWS = 4096
 
@@ -152,20 +144,23 @@ def _line_capacity(path):
     """An upper bound on the lines of a file whose lines end in a newline."""
     lines = 1
     with open(path, "rb") as fh:
-        while block := fh.read(1 << 18):
+        # numpy's compare counts about three times as fast as bytes.count;
+        # 64 KiB blocks keep its bool temporary small
+        while block := fh.read(1 << 16):
             lines += np.count_nonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n"))
     return lines
 
 
 def _read_chunks(path):
-    """(runs, angles, samples) of a well-formed pattern CSV, read
-    _CHUNK_ROWS rows at a time into buffers sized once; None where the
-    row-by-row read has to decide.
+    """(runs, key_t, key_p, pole, samples) of a well-formed pattern CSV,
+    read _CHUNK_ROWS rows at a time into buffers sized once; None where
+    the row-by-row read has to decide. Only one chunk's angles are alive.
 
     Raises ValueError or csv.Error where numpy or csv cannot read a row.
     """
     capacity = _line_capacity(path)
-    angles = np.empty((capacity, 2))
+    key_t, key_p = np.empty(capacity), np.empty(capacity)
+    pole = np.empty(capacity, dtype=bool)
     samples = np.empty((capacity, 4))
     runs, n = [], 0
     with open(path, newline="") as fh:
@@ -185,33 +180,36 @@ def _read_chunks(path):
             )
             if n + chunk.size > capacity:
                 return None  # more rows than newlines: lines end in a lone \r
-            angles[n : n + chunk.size] = chunk["angles"]
-            samples[n : n + chunk.size] = chunk["samples"]
+            angles, own = chunk["angles"], slice(n, n + chunk.size)
+            theta = angles[:, 0]
+            # what the row-by-row read rejects
+            if (
+                not np.isfinite(angles).all()
+                or not np.isfinite(chunk["samples"]).all()
+                or not ((theta >= 0.0) & (theta <= 180.0)).all()
+            ):
+                return None
+            # phi % 360 first, as the row-by-row read yields it
+            key_t[own], key_p[own] = direction_keys(theta, angles[:, 1] % 360.0)
+            pole[own] = _is_pole(theta)
+            samples[own] = chunk["samples"]
             _add_runs(runs, chunk["feed"], n)
             n += chunk.size
-    angles, samples = angles[:n], samples[:n]
-    theta = angles[:, 0]
-    # what the row-by-row read rejects
-    if (
-        not np.isfinite(angles).all()
-        or not np.isfinite(samples).all()
-        or not ((theta >= 0.0) & (theta <= 180.0)).all()
-        or any(not label.strip() for _, label in runs)
-    ):
+    if any(not label.strip() for _, label in runs):
         return None
-    angles[:, 1] %= 360.0
-    return runs, angles, samples
+    return runs, key_t[:n], key_p[:n], pole[:n], samples[:n]
 
 
 def _read_table(path):
     """The data rows of a pattern CSV in file order.
 
-    Returns (feeds, feed_id, angles, samples, error): per data row, angles
-    holds theta and phi % 360, samples re_gtheta, im_gtheta, re_gphi and
-    im_gphi (the memory layout of the two complex gains), and feed_id
-    indexes feeds. error is None, or the exception that stopped the
-    row-by-row read at an invalid row, in which case only the rows before
-    it are returned.
+    Returns (feeds, feed_id, key_t, key_p, pole, samples, error): per data
+    row, key_t and key_p are the direction keys of theta and phi % 360,
+    pole whether theta is a pole, samples holds re_gtheta, im_gtheta,
+    re_gphi and im_gphi (the memory layout of the two complex gains), and
+    feed_id indexes feeds. error is None, or the exception that stopped
+    the row-by-row read at an invalid row, in which case only the rows
+    before it are returned.
     """
     try:
         read = _read_chunks(path)
@@ -219,8 +217,8 @@ def _read_table(path):
         # UnicodeDecodeError is a ValueError; the row-by-row read names the row
         read = None
     if read is not None:
-        runs, angles, samples = read
-        return *_number_feeds(runs, len(angles)), angles, samples, None
+        runs, *columns = read
+        return *_number_feeds(runs, len(columns[0])), *columns, None
 
     rows, error = [], None
     try:
@@ -229,12 +227,19 @@ def _read_table(path):
         error = exc
     runs = []
     _add_runs(runs, np.array([row[1] for row in rows], dtype=object), 0)
-    angles = np.array([(t, p) for _, _, t, p, _, _ in rows], dtype=np.float64).reshape(-1, 2)
+    theta = np.array([row[2] for row in rows], dtype=np.float64)
+    phi = np.array([row[3] for row in rows], dtype=np.float64)
     samples = np.array([(gt, gp) for *_, gt, gp in rows], dtype=np.complex128).reshape(-1, 2)
-    return *_number_feeds(runs, len(rows)), angles, samples.view(np.float64), error
+    return (
+        *_number_feeds(runs, len(rows)),
+        *direction_keys(theta, phi),
+        _is_pole(theta),
+        samples.view(np.float64),
+        error,
+    )
 
 
-def _merge_directions(path, feeds, feed_id, angles, samples):
+def _merge_directions(path, feed_id, key_t, key_p, pole, samples):
     """(rows, feed_id, key_t, key_p) of the rows that hold each feed's
     samples, sorted by feed, then by direction key, file order within a
     key; rows is None where that is every row in file order.
@@ -244,12 +249,6 @@ def _merge_directions(path, feeds, feed_id, angles, samples):
     the first by more than _POLE_MERGE_ATOL, raises ParseError at the
     later row in file order.
     """
-    theta, phi = angles[:, 0], angles[:, 1]
-    # one chunk at a time, so that only a chunk's temporaries are alive
-    key_t, key_p = np.empty(theta.size), np.empty(theta.size)
-    for lo in range(0, theta.size, _CHUNK_ROWS):
-        chunk = slice(lo, lo + _CHUNK_ROWS)
-        key_t[chunk], key_p[chunk] = direction_keys(theta[chunk], phi[chunk])
     f, t, p, order = feed_id, key_t, key_p, None
     if not (
         (f[1:] > f[:-1])
@@ -267,18 +266,20 @@ def _merge_directions(path, feeds, feed_id, angles, samples):
     first = rows[np.cumsum(starts)[~starts] - 1]
     diff = samples[later] - samples[first]
     bad = (
-        ~_is_pole(theta[later])
+        ~pole[later]
         | (np.hypot(diff[:, 0], diff[:, 1]) > _POLE_MERGE_ATOL)
         | (np.hypot(diff[:, 2], diff[:, 3]) > _POLE_MERGE_ATOL)
     )
     if bad.any():
-        i = later[bad].min()
-        feed, at_t, at_p = feeds[feed_id[i]], float(theta[i]), float(phi[i])
+        # no per-row angles are kept, so the message reads the row again;
+        # its file row is not its index, as the readers skip blank rows
+        again = itertools.islice(_parse_pattern_rows(path), later[bad].min(), None)
+        row, feed, at_t, at_p, _, _ = next(again)
         if _is_pole(at_t):
             message = f"conflicting pole samples for feed {feed} at theta={at_t}"
         else:
             message = f"duplicate direction theta={at_t} phi={at_p} for feed {feed}"
-        raise ParseError(message, path=path, row=_row_number(path, i))
+        raise ParseError(message, path=path, row=row)
     return rows, f[starts], t[starts], p[starts]
 
 
@@ -290,9 +291,9 @@ def load_pattern_csv(path) -> ElementPatternSet:
     (theta 0 or 180 at several phi) collapse to the single stored pole
     sample and must agree within 1e-7.
     """
-    feeds, feed_id, angles, samples, error = _read_table(path)
-    rows, feed_id, key_t, key_p = _merge_directions(path, feeds, feed_id, angles, samples)
-    del angles
+    feeds, feed_id, key_t, key_p, pole, samples, error = _read_table(path)
+    rows, feed_id, key_t, key_p = _merge_directions(path, feed_id, key_t, key_p, pole, samples)
+    del pole
     if error is not None:
         raise error
     if not feeds:
@@ -391,18 +392,14 @@ def save_pattern_csv(pattern_set: ElementPatternSet, path) -> None:
     )
 
 
-def _ring_matrix(pattern_set: ElementPatternSet):
-    """Gains as (n_feeds, n_rings, n_phi, 2) with pole rows replicated."""
-    grid = pattern_set.grid
+def _ring_index(grid: SphericalGrid):
+    """(n_rings, n_phi) grid positions of each ring's phi samples, a
+    pole's one position in every column."""
     ring_thetas, rings = regular_ring_structure(grid)
-    n_phi = round(360.0 / grid.phi_step_deg)
-    out = np.empty(
-        (len(pattern_set.feeds), ring_thetas.size, n_phi, 2), dtype=np.complex128
-    )
+    index = np.empty((ring_thetas.size, round(360.0 / grid.phi_step_deg)), dtype=np.int64)
     for ri, idx in enumerate(rings):
-        # a pole's single sample broadcasts across the phi stencil
-        out[:, ri, :, :] = pattern_set.gains[:, idx, :]
-    return ring_thetas, out
+        index[ri] = idx
+    return index
 
 
 def resample(pattern_set: ElementPatternSet, target: SphericalGrid) -> ElementPatternSet:
@@ -418,11 +415,10 @@ def resample(pattern_set: ElementPatternSet, target: SphericalGrid) -> ElementPa
     if target.same_directions(src):
         return replace(pattern_set, grid=target)
 
-    ring_thetas, matrix = _ring_matrix(pattern_set)
+    index = _ring_index(src)
     t_step = src.theta_step_deg
     p_step = src.phi_step_deg
-    n_rings = ring_thetas.size
-    n_phi = matrix.shape[2]
+    n_rings, n_phi = index.shape
 
     theta = target.theta_deg / t_step
     i0 = np.clip(np.floor(theta).astype(np.int64), 0, n_rings - 2)
@@ -432,10 +428,11 @@ def resample(pattern_set: ElementPatternSet, target: SphericalGrid) -> ElementPa
     fp = phi - np.floor(phi)
     j1 = (j0 + 1) % n_phi
 
-    v00 = matrix[:, i0, j0, :]
-    v01 = matrix[:, i0, j1, :]
-    v10 = matrix[:, i0 + 1, j0, :]
-    v11 = matrix[:, i0 + 1, j1, :]
+    source = pattern_set.gains
+    v00 = source[:, index[i0, j0], :]
+    v01 = source[:, index[i0, j1], :]
+    v10 = source[:, index[i0 + 1, j0], :]
+    v11 = source[:, index[i0 + 1, j1], :]
     wt = ft[np.newaxis, :, np.newaxis]
     wp = fp[np.newaxis, :, np.newaxis]
     gains = (

@@ -1,3 +1,5 @@
+import atexit
+import gc
 import importlib
 import json
 import math
@@ -161,7 +163,7 @@ def test_coverage_is_deterministic(tmp_path):
     assert main(["coverage", "--config", cfg_a]) == 0
     cfg_b = write_config(
         tmp_path,
-        {**json.loads(open(cfg_a).read()), "output_dir": str(out_b)},
+        {**json.loads(Path(cfg_a).read_text()), "output_dir": str(out_b)},
         name="config_b.json",
     )
     assert main(["coverage", "--config", cfg_b]) == 0
@@ -281,7 +283,7 @@ def test_coverage_applies_loss_table(tmp_path):
     cfg_boost = write_config(
         tmp_path,
         {
-            **json.loads(open(cfg_plain).read()),
+            **json.loads(Path(cfg_plain).read_text()),
             "loss_table": str(loss_path),
             "output_dir": str(out_boost),
         },
@@ -910,3 +912,48 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "grid.csv").exists()
+
+
+# registered before main, so that it runs after every exit hook main adds
+_FREEZE_PROBE = (
+    "import atexit, gc, sys; from arraycov.cli import main; "
+    "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0)); "
+    "sys.exit(main())"
+)
+
+
+def test_program_run_freezes_gc_at_exit(tmp_path):
+    # run as the program, a coverage run freezes what is still alive at
+    # exit, and writes the bytes an in-process run writes
+    extra = {"cut_thetas_deg": [90.0]}
+    child, inproc = tmp_path / "child", tmp_path / "inproc"
+    cfg = coverage_config(tmp_path, child, extra=extra)
+    proc = subprocess.run(
+        [sys.executable, "-c", _FREEZE_PROBE, "coverage", "--config", cfg],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["frozen", "True"]
+    assert main(["coverage", "--config", coverage_config(tmp_path, inproc, extra=extra)]) == 0
+    written = sorted(p.name for p in child.iterdir())
+    assert written == sorted(p.name for p in inproc.iterdir())
+    assert "cut_theta_90.svg" in written
+    for name in written:
+        assert (child / name).read_bytes() == (inproc / name).read_bytes(), name
+
+
+def test_exit_hook_only_for_the_program_and_once(tmp_path, monkeypatch):
+    hooks = []
+    monkeypatch.setattr(atexit, "register", hooks.append)
+    monkeypatch.setattr(atexit, "unregister", lambda f: hooks.remove(f) if f in hooks else None)
+    cfg = write_config(
+        tmp_path,
+        {"grid": {"kind": "uniform-sphere", "points": 40}, "output_dir": str(tmp_path / "out")},
+    )
+    assert main(["grid", "--config", cfg]) == 0
+    assert hooks == []
+    monkeypatch.setattr(sys, "argv", ["arraycov", "grid", "--config", cfg])
+    assert main() == 0
+    assert main() == 0
+    assert hooks == [gc.freeze]

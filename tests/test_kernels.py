@@ -427,7 +427,8 @@ def test_all_zero_directions_stay_off_the_shortlist(monkeypatch):
 def test_kernel_peak_memory():
     # a full-scale 4-bit sub-array: 4096 rows on the 6446 directions of the
     # 1 deg x 10 deg grid. Only the float32 form and factors, the block
-    # bounds and one tile of temporaries are alive at once.
+    # bounds and one tile of temporaries are alive at once: 3.25x the
+    # gains. Keeping one tile's 2 a u product alive into the next reads 3.40x.
     rng = np.random.default_rng(12)
     gains = rng.normal(size=(4, 6446, 2)) + 1j * rng.normal(size=(4, 6446, 2))
     phasors = enumerate_weights(SubArraySpec("s", (0, 1, 2, 3)), 4)
@@ -438,7 +439,7 @@ def test_kernel_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * gains.nbytes
+    assert peak <= 3.35 * gains.nbytes
 
 
 def test_chunked_numpy_path_spans_boundaries():
