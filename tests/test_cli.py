@@ -1,6 +1,7 @@
 import atexit
 import gc
 import importlib
+import io
 import json
 import math
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arraycov import cli
+from arraycov import cli, pattern
 from arraycov.cli import main
 from arraycov.coverage import CDF_CSV_HEADER, load_cdf_csv
 from arraycov.deembed import LOSS_CSV_HEADER, load_loss_csv
@@ -957,3 +958,164 @@ def test_exit_hook_only_for_the_program_and_once(tmp_path, monkeypatch):
     assert main() == 0
     assert main() == 0
     assert hooks == [gc.freeze]
+
+
+# the cache entry of coverage_config's pattern CSV
+PATTERN_CACHE = ".elements.csv.arraycov-cache"
+
+
+def run_coverage(cfg):
+    """The output files of one coverage run that exits 0, by name."""
+    assert main(["coverage", "--config", cfg]) == 0
+    out = Path(json.loads(Path(cfg).read_text())["output_dir"])
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def no_parse(path):
+    raise AssertionError(f"{path} was parsed on a cache hit")
+
+
+def counting_parses(monkeypatch):
+    parses = []
+    read_table = pattern._read_table
+
+    def counted(path):
+        parses.append(path)
+        return read_table(path)
+
+    monkeypatch.setattr(pattern, "_read_table", counted)
+    return parses
+
+
+def test_second_coverage_run_reads_the_pattern_cache(tmp_path, monkeypatch):
+    cfg = coverage_config(tmp_path, tmp_path / "out", extra={"cut_thetas_deg": [90.0]})
+    with monkeypatch.context() as m:
+        m.setattr(pattern, "_cache_key", lambda path: None)
+        uncached = run_coverage(cfg)
+    assert not (tmp_path / PATTERN_CACHE).exists()
+    miss = run_coverage(cfg)
+    assert (tmp_path / PATTERN_CACHE).exists()
+    monkeypatch.setattr(pattern, "_read_table", no_parse)
+    assert run_coverage(cfg) == miss == uncached
+    assert "cut_theta_90.svg" in miss
+
+
+def test_deembed_reads_both_patterns_from_the_cache(tmp_path, monkeypatch):
+    sim = smooth_pattern(["p1", "p2"], seed=1)
+    meas = ElementPatternSet(GRID, sim.feeds, sim.gains * 0.3)
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path,
+        {
+            "simulated": pattern_file(tmp_path, sim, "sim.csv"),
+            "measured": pattern_file(tmp_path, meas, "meas.csv"),
+            "windows": {f: {"center_theta_deg": 90.0, "center_phi_deg": 0.0} for f in sim.feeds},
+            "output_dir": str(out),
+        },
+    )
+    assert main(["deembed", "--config", cfg]) == 0
+    losses = (out / "losses.csv").read_bytes()
+    assert (tmp_path / ".sim.csv.arraycov-cache").exists()
+    assert (tmp_path / ".meas.csv.arraycov-cache").exists()
+    monkeypatch.setattr(pattern, "_read_table", no_parse)
+    assert main(["deembed", "--config", cfg]) == 0
+    assert (out / "losses.csv").read_bytes() == losses
+
+
+def test_pattern_edit_is_parsed_again(tmp_path, monkeypatch):
+    cfg = coverage_config(tmp_path, tmp_path / "out")
+    first = run_coverage(cfg)
+    # one digit of the first data row's re_gtheta, so the length stays
+    csv_path = tmp_path / "elements.csv"
+    data = bytearray(csv_path.read_bytes())
+    at = data.index(b"\n") + 1
+    for _ in range(3):
+        at = data.index(b",", at) + 1
+    at += data[at : at + 1] == b"-"
+    data[at] = ord("7") if data[at] != ord("7") else ord("3")
+    csv_path.write_bytes(bytes(data))
+    parses = counting_parses(monkeypatch)
+    edited = run_coverage(cfg)
+    assert parses == [str(csv_path)]
+    assert edited["gain_map.csv"] != first["gain_map.csv"]
+    assert run_coverage(cfg) == edited
+    assert parses == [str(csv_path)]
+
+
+def test_pattern_sidecar_is_read_on_a_cache_hit(tmp_path, monkeypatch, capsys):
+    cfg = coverage_config(tmp_path, tmp_path / "out")
+    run_coverage(cfg)
+    (tmp_path / "elements.json").write_text('{"frequency_ghz": "abc"}')
+    monkeypatch.setattr(pattern, "_read_table", no_parse)
+    assert main(["coverage", "--config", cfg]) == 3
+    assert "frequency_ghz must be a finite number" in capsys.readouterr().err
+
+
+def _damaged_entry(tmp_path, good, damage):
+    header, payload = good.split(b"\n", 1)
+    if damage == "truncated":
+        return good[: len(good) // 2]
+    if damage == "garbage_header":
+        return b"\xff not a header\n" + payload
+    if damage == "foreign_key":
+        # the entry of another pattern file
+        other = tmp_path / "other"
+        other.mkdir()
+        load_pattern_csv(pattern_file(other, smooth_pattern(["f0", "f1"], seed=9)), cache=True)
+        return (other / ".pattern.csv.arraycov-cache").read_bytes()
+    # the right key over gains of one direction less, or over their
+    # real parts, which have the shape of the gains
+    gains = np.load(io.BytesIO(payload))
+    buffer = io.BytesIO()
+    np.save(buffer, gains[:, :-1] if damage == "wrong_shape" else gains.real)
+    return header + b"\n" + buffer.getvalue()
+
+
+@pytest.mark.parametrize(
+    "damage", ["truncated", "garbage_header", "foreign_key", "wrong_shape", "wrong_dtype"]
+)
+def test_bad_pattern_cache_entry_is_a_miss(tmp_path, monkeypatch, damage):
+    cfg = coverage_config(tmp_path, tmp_path / "out")
+    first = run_coverage(cfg)
+    entry = tmp_path / PATTERN_CACHE
+    good = entry.read_bytes()
+    entry.write_bytes(_damaged_entry(tmp_path, good, damage))
+    parses = counting_parses(monkeypatch)
+    assert run_coverage(cfg) == first
+    assert parses == [str(tmp_path / "elements.csv")]
+    assert entry.read_bytes() == good
+
+
+def test_malformed_pattern_leaves_no_cache_entry(tmp_path):
+    cfg = coverage_config(tmp_path, tmp_path / "out")
+    csv_path = tmp_path / "elements.csv"
+    csv_path.write_bytes(csv_path.read_bytes().replace(b"f1,", b"f1,nan,", 1))
+    for _ in range(2):
+        assert main(["coverage", "--config", cfg]) == 3
+    assert not (tmp_path / PATTERN_CACHE).exists()
+
+
+def test_failed_cache_write_is_skipped(tmp_path, monkeypatch):
+    # a chmod would not stop a write as root; the move into place fails
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", dst)
+
+    cfg = coverage_config(tmp_path, tmp_path / "out")
+    with monkeypatch.context() as m:
+        m.setattr(os, "replace", refuse)
+        unwritten = run_coverage(cfg)
+    assert not [name for name in os.listdir(tmp_path) if name.startswith(".")]
+    assert run_coverage(cfg) == unwritten
+    assert (tmp_path / PATTERN_CACHE).exists()
+
+
+def test_cached_coverage_run_loads_no_hashlib(tmp_path):
+    # hashlib loads OpenSSL's libcrypto, about 3.5 MiB of resident memory
+    cfg = coverage_config(tmp_path, tmp_path / "out")
+    code = (
+        "import sys; from arraycov.cli import main; "
+        f"print(main(['coverage', '--config', {cfg!r}]), "
+        f"main(['coverage', '--config', {cfg!r}]), 'hashlib' in sys.modules)"
+    )
+    assert run_child(code) == ["0", "0", "False"]
+    assert (tmp_path / PATTERN_CACHE).exists()

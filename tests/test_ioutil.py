@@ -125,10 +125,13 @@ def test_grid_csv_round_trip_bit_exact(tmp_path_factory, regular, data):
 @given(
     gains=st.lists(finite_floats, min_size=1, max_size=30),
     low=st.booleans(),
-    steps=st.lists(st.floats(1e-3, 1e3), min_size=30, max_size=30),
+    # one step per gain, and one for the -inf a low CDF starts with
+    steps=st.lists(st.floats(1e-3, 1e3), min_size=31, max_size=31),
 )
 # gains whose difference overflows
-@example(gains=[-1.7e308, 1.7e308], low=False, steps=[1.0] * 30)
+@example(gains=[-1.7e308, 1.7e308], low=False, steps=[1.0] * 31)
+# 30 distinct gains and the -inf
+@example(gains=[float(i) for i in range(30)], low=True, steps=[1.0] * 31)
 def test_cdf_csv_round_trip_bit_exact(tmp_path_factory, gains, low, steps):
     gain_db = np.unique(np.array(gains) + 0.0)  # + 0.0 merges -0.0 into 0.0
     if low:

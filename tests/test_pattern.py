@@ -5,6 +5,7 @@ import os
 import random
 import tracemalloc
 import warnings
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -701,3 +702,147 @@ def test_direction_off_its_key_is_missing(tmp_path):
     rows[1] = "a,90.0,9e-10,1.0,0.5,0.0,-1.0"
     with pytest.raises(ParseError, match="missing direction theta=90.0 phi=0.0"):
         load_pattern_csv(_write_rows(tmp_path, rows))
+
+
+def _cache_entry(path):
+    return path.parent / f".{path.name}.arraycov-cache"
+
+
+def _no_parse(path):
+    raise AssertionError(f"{path} was parsed on a cache hit")
+
+
+def _cached_file(tmp_path, pattern_set=None):
+    """A saved pattern CSV whose cache entry has been written."""
+    path = tmp_path / "patterns.csv"
+    save_pattern_csv(random_set(n_feeds=3, seed=5) if pattern_set is None else pattern_set, path)
+    load_pattern_csv(path, cache=True)
+    assert _cache_entry(path).exists()
+    return path
+
+
+def test_library_load_writes_no_cache_entry(tmp_path):
+    path = tmp_path / "patterns.csv"
+    save_pattern_csv(random_set(), path)
+    load_pattern_csv(path)
+    assert sorted(os.listdir(tmp_path)) == ["patterns.csv", "patterns.json"]
+
+
+def test_cache_hit_is_the_parsed_set(tmp_path, monkeypatch):
+    path = _cached_file(tmp_path)
+    parsed = load_pattern_csv(path)
+    monkeypatch.setattr(pattern, "_read_table", _no_parse)
+    hit = load_pattern_csv(path, cache=True)
+    assert hit.feeds == parsed.feeds
+    for name in ("theta_deg", "phi_deg", "weight_sr"):
+        assert getattr(hit.grid, name).tobytes() == getattr(parsed.grid, name).tobytes()
+    assert (hit.grid.kind, hit.grid.theta_step_deg, hit.grid.phi_step_deg) == (
+        parsed.grid.kind,
+        parsed.grid.theta_step_deg,
+        parsed.grid.phi_step_deg,
+    )
+    assert hit.gains.tobytes() == parsed.gains.tobytes()
+    assert not hit.gains.flags.writeable
+    assert (hit.frequency_ghz, hit.convention) == (parsed.frequency_ghz, parsed.convention)
+
+
+def test_cache_hit_reads_the_sidecar(tmp_path, monkeypatch):
+    path = _cached_file(tmp_path)
+    monkeypatch.setattr(pattern, "_read_table", _no_parse)
+    (tmp_path / "patterns.json").write_text('{"frequency_ghz": 39.0, "convention": "x"}')
+    hit = load_pattern_csv(path, cache=True)
+    assert (hit.frequency_ghz, hit.convention) == (39.0, "x")
+    (tmp_path / "patterns.json").write_text('{"frequency_ghz": "abc"}')
+    with pytest.raises(ParseError, match="frequency_ghz must be a finite number"):
+        load_pattern_csv(path, cache=True)
+
+
+def _counting_reads(monkeypatch):
+    reads = []
+    read_table = pattern._read_table
+
+    def counted(path):
+        reads.append(path)
+        return read_table(path)
+
+    monkeypatch.setattr(pattern, "_read_table", counted)
+    return reads
+
+
+def test_cache_entry_of_another_numpy_is_a_miss(tmp_path, monkeypatch):
+    path = _cached_file(tmp_path)
+    entry = _cache_entry(path).read_bytes()
+    reads = _counting_reads(monkeypatch)
+    monkeypatch.setattr(np, "__version__", "0.0")
+    load_pattern_csv(path, cache=True)
+    assert reads == [path]
+    assert _cache_entry(path).read_bytes() != entry
+    load_pattern_csv(path, cache=True)
+    assert reads == [path]
+
+
+def test_cache_entry_is_not_written_if_the_csv_changes_during_the_parse(tmp_path, monkeypatch):
+    path = tmp_path / "patterns.csv"
+    save_pattern_csv(random_set(), path)
+    read_table = pattern._read_table
+
+    def read_then_edit(path):
+        table = read_table(path)
+        path.write_text(path.read_text().replace("1V,", "1X,", 1))
+        return table
+
+    monkeypatch.setattr(pattern, "_read_table", read_then_edit)
+    load_pattern_csv(path, cache=True)
+    assert not _cache_entry(path).exists()
+
+
+@pytest.mark.parametrize("fault", ["csv", "sidecar"])
+def test_failed_load_leaves_no_cache_entry(tmp_path, fault):
+    rows = _minimal_rows()
+    if fault == "csv":
+        rows[1] = "a,90.0,0.0,nan,0.5,0.0,-1.0"
+    path = _write_rows(tmp_path, rows)
+    if fault == "sidecar":
+        (tmp_path / "patterns.json").write_text("[1, 2]")
+    for _ in range(2):
+        with pytest.raises(ParseError):
+            load_pattern_csv(path, cache=True)
+    assert not _cache_entry(path).exists()
+
+
+def _peak_over_gains(path):
+    """tracemalloc peak of a cached load of path, over its gains' size."""
+    tracemalloc.start()
+    try:
+        loaded = load_pattern_csv(path, cache=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / loaded.gains.nbytes
+
+
+def test_cache_hit_peak_memory(tmp_path, monkeypatch):
+    # the full-scale input: the hit holds the gains, read from the entry
+    # once, and the CSV's key is read 64 KiB at a time
+    path = _cached_file(tmp_path, random_set(1.0, 10.0, n_feeds=8))
+    monkeypatch.setattr(pattern, "_read_table", _no_parse)
+    assert _peak_over_gains(path) <= 1.3
+
+    # a key of the whole file read at once (4.8 MB here) fails the bound
+    cache_key = pattern._cache_key
+
+    def whole_file_key(path):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return [len(data), zlib.crc32(data), *cache_key(path)[2:]]
+
+    monkeypatch.setattr(pattern, "_cache_key", whole_file_key)
+    assert _peak_over_gains(path) > 1.3
+
+
+def test_cache_miss_peak_memory(tmp_path):
+    # the parse and the entry's write stay within the reader's bound
+    path = tmp_path / "patterns.csv"
+    save_pattern_csv(random_set(1.0, 10.0, n_feeds=8), path)
+    assert _peak_over_gains(path) <= 2.2
+    assert _cache_entry(path).exists()
