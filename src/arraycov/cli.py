@@ -190,7 +190,7 @@ def _frequencies(config):
 
 def _load_pattern_input(config):
     path = _input_file(config, "pattern")
-    pattern_set = pattern.load_pattern_csv(path, cache=True)
+    pattern_set = pattern.load_pattern_csv(path)
     if "loss_table" in config:
         from . import deembed
         table = deembed.load_loss_csv(_input_file(config, "loss_table"))
@@ -223,8 +223,8 @@ def cmd_grid(config) -> int:
 def cmd_deembed(config) -> int:
     from . import deembed
 
-    simulated = pattern.load_pattern_csv(_input_file(config, "simulated"), cache=True)
-    measured = pattern.load_pattern_csv(_input_file(config, "measured"), cache=True)
+    simulated = pattern.load_pattern_csv(_input_file(config, "simulated"))
+    measured = pattern.load_pattern_csv(_input_file(config, "measured"))
     windows = _windows(config, simulated.feeds)
     table = deembed.estimate_losses(
         simulated,

@@ -352,83 +352,7 @@ def _metadata(path):
     return {"frequency_ghz": float(frequency), "convention": convention}
 
 
-def _cache_path(path) -> str:
-    head, name = os.path.split(os.fspath(path))
-    return os.path.join(head, f".{name}.arraycov-cache")
-
-
-def _cache_key(path):
-    """What the cache entry of the pattern CSV at path must hold: the
-    CSV's length and CRC-32, a CRC-32 of this package's sources (the
-    parse and the entry's layout) and numpy's version; None if the CSV
-    cannot be read."""
-    import zlib
-
-    def crc(name, value=0):
-        # (length, CRC-32) read in blocks, so the key never holds the file
-        size = 0
-        with open(name, "rb") as fh:
-            while block := fh.read(1 << 16):
-                value = zlib.crc32(block, value)
-                size += len(block)
-        return size, value
-
-    package = os.path.dirname(__file__)
-    sources = 0
-    try:
-        for name in sorted(os.listdir(package)):
-            if name.endswith(".py"):
-                sources = crc(os.path.join(package, name), zlib.crc32(name.encode(), sources))[1]
-        return [*crc(path), sources, np.__version__]
-    except OSError:
-        return None
-
-
-def _read_cache(path, key):
-    """(grid, feeds, gains) from the cache entry of the pattern CSV at
-    path if the entry holds key; None for any entry that does not."""
-    import json
-
-    try:
-        with open(_cache_path(path), "rb") as fh:
-            header = json.loads(fh.readline())
-            if header["key"] != key:
-                return None
-            # the grid's temporaries are gone before the gains are read
-            grid = make_regular_grid(*header["steps"])
-            gains = np.load(fh)
-        return (grid, header["feeds"], gains) if gains.dtype == np.complex128 else None
-    except (OSError, ValueError, TypeError, KeyError):
-        return None
-
-
-def _write_cache(path, key, pattern_set):
-    """Write the cache entry of the pattern CSV at path: a JSON header
-    line (key, feeds, grid steps), then the gains in .npy form."""
-    import json
-
-    entry = _cache_path(path)
-    temp = f"{entry}.{os.getpid()}"
-    grid = pattern_set.grid
-    header = {
-        "key": key,
-        "feeds": pattern_set.feeds,
-        "steps": [grid.theta_step_deg, grid.phi_step_deg],
-    }
-    try:
-        with open(temp, "wb") as fh:
-            fh.write(json.dumps(header).encode() + b"\n")
-            np.save(fh, pattern_set.gains)
-        os.replace(temp, entry)  # a reader sees the old entry or the whole new one
-    except OSError:
-        # no output depends on the entry (read-only directory, full disk)
-        try:
-            os.remove(temp)
-        except OSError:
-            pass
-
-
-def load_pattern_csv(path, cache=False) -> ElementPatternSet:
+def load_pattern_csv(path) -> ElementPatternSet:
     """Read a pattern CSV (plus optional JSON sidecar for metadata).
 
     Directions must form the full regular theta/phi lattice, identical
@@ -436,26 +360,12 @@ def load_pattern_csv(path, cache=False) -> ElementPatternSet:
     (theta 0 or 180 at several phi) collapse to the single stored pole
     sample and must agree within 1e-7.
 
-    With cache, a CSV loaded before is not parsed again: a successful
-    parse leaves its feeds, grid steps and gains in a hidden entry file
-    beside the CSV, used while the CSV's bytes, the package's sources
-    and the numpy version are the same. The sidecar is read every time.
+    A CSV loaded before is not parsed again (see patterncache); the
+    sidecar is read every time.
     """
-    key = _cache_key(path) if cache else None
-    entry = _read_cache(path, key) if key is not None else None
-    if entry is not None:
-        try:
-            # ElementPatternSet checks what the parse ends in: labels,
-            # shape and finite samples
-            return ElementPatternSet(*entry, **_metadata(path))
-        except (ValueError, TypeError):
-            pass  # a malformed entry is parsed over, as a missing one
-    feeds, grid, gains = _parse_pattern_csv(path)
-    pattern_set = ElementPatternSet(grid, feeds, gains, **_metadata(path))
-    # an entry of the bytes that were parsed, never of an error
-    if key is not None and _cache_key(path) == key:
-        _write_cache(path, key, pattern_set)
-    return pattern_set
+    from . import patterncache
+
+    return patterncache.load(path)
 
 
 def pattern_csv_columns(labels, grid, fields):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arraycov import cli, pattern
+from arraycov import cli, pattern, patterncache
 from arraycov.cli import main
 from arraycov.coverage import CDF_CSV_HEADER, load_cdf_csv
 from arraycov.deembed import LOSS_CSV_HEADER, load_loss_csv
@@ -971,36 +971,20 @@ def run_coverage(cfg):
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
-def no_parse(path):
-    raise AssertionError(f"{path} was parsed on a cache hit")
-
-
-def counting_parses(monkeypatch):
-    parses = []
-    read_table = pattern._read_table
-
-    def counted(path):
-        parses.append(path)
-        return read_table(path)
-
-    monkeypatch.setattr(pattern, "_read_table", counted)
-    return parses
-
-
-def test_second_coverage_run_reads_the_pattern_cache(tmp_path, monkeypatch):
+def test_second_coverage_run_reads_the_pattern_cache(tmp_path, monkeypatch, forbid_parse):
     cfg = coverage_config(tmp_path, tmp_path / "out", extra={"cut_thetas_deg": [90.0]})
     with monkeypatch.context() as m:
-        m.setattr(pattern, "_cache_key", lambda path: None)
+        m.setattr(patterncache, "_key", lambda path: None)
         uncached = run_coverage(cfg)
     assert not (tmp_path / PATTERN_CACHE).exists()
     miss = run_coverage(cfg)
     assert (tmp_path / PATTERN_CACHE).exists()
-    monkeypatch.setattr(pattern, "_read_table", no_parse)
+    forbid_parse()
     assert run_coverage(cfg) == miss == uncached
     assert "cut_theta_90.svg" in miss
 
 
-def test_deembed_reads_both_patterns_from_the_cache(tmp_path, monkeypatch):
+def test_deembed_reads_both_patterns_from_the_cache(tmp_path, forbid_parse):
     sim = smooth_pattern(["p1", "p2"], seed=1)
     meas = ElementPatternSet(GRID, sim.feeds, sim.gains * 0.3)
     out = tmp_path / "out"
@@ -1017,12 +1001,12 @@ def test_deembed_reads_both_patterns_from_the_cache(tmp_path, monkeypatch):
     losses = (out / "losses.csv").read_bytes()
     assert (tmp_path / ".sim.csv.arraycov-cache").exists()
     assert (tmp_path / ".meas.csv.arraycov-cache").exists()
-    monkeypatch.setattr(pattern, "_read_table", no_parse)
+    forbid_parse()
     assert main(["deembed", "--config", cfg]) == 0
     assert (out / "losses.csv").read_bytes() == losses
 
 
-def test_pattern_edit_is_parsed_again(tmp_path, monkeypatch):
+def test_pattern_edit_is_parsed_again(tmp_path, count_parses):
     cfg = coverage_config(tmp_path, tmp_path / "out")
     first = run_coverage(cfg)
     # one digit of the first data row's re_gtheta, so the length stays
@@ -1034,7 +1018,7 @@ def test_pattern_edit_is_parsed_again(tmp_path, monkeypatch):
     at += data[at : at + 1] == b"-"
     data[at] = ord("7") if data[at] != ord("7") else ord("3")
     csv_path.write_bytes(bytes(data))
-    parses = counting_parses(monkeypatch)
+    parses = count_parses()
     edited = run_coverage(cfg)
     assert parses == [str(csv_path)]
     assert edited["gain_map.csv"] != first["gain_map.csv"]
@@ -1042,11 +1026,11 @@ def test_pattern_edit_is_parsed_again(tmp_path, monkeypatch):
     assert parses == [str(csv_path)]
 
 
-def test_pattern_sidecar_is_read_on_a_cache_hit(tmp_path, monkeypatch, capsys):
+def test_pattern_sidecar_is_read_on_a_cache_hit(tmp_path, forbid_parse, capsys):
     cfg = coverage_config(tmp_path, tmp_path / "out")
     run_coverage(cfg)
     (tmp_path / "elements.json").write_text('{"frequency_ghz": "abc"}')
-    monkeypatch.setattr(pattern, "_read_table", no_parse)
+    forbid_parse()
     assert main(["coverage", "--config", cfg]) == 3
     assert "frequency_ghz must be a finite number" in capsys.readouterr().err
 
@@ -1055,13 +1039,15 @@ def _damaged_entry(tmp_path, good, damage):
     header, payload = good.split(b"\n", 1)
     if damage == "truncated":
         return good[: len(good) // 2]
+    if damage == "header_only":
+        return header + b"\n"
     if damage == "garbage_header":
         return b"\xff not a header\n" + payload
     if damage == "foreign_key":
         # the entry of another pattern file
         other = tmp_path / "other"
         other.mkdir()
-        load_pattern_csv(pattern_file(other, smooth_pattern(["f0", "f1"], seed=9)), cache=True)
+        load_pattern_csv(pattern_file(other, smooth_pattern(["f0", "f1"], seed=9)))
         return (other / ".pattern.csv.arraycov-cache").read_bytes()
     # the right key over gains of one direction less, or over their
     # real parts, which have the shape of the gains
@@ -1072,15 +1058,16 @@ def _damaged_entry(tmp_path, good, damage):
 
 
 @pytest.mark.parametrize(
-    "damage", ["truncated", "garbage_header", "foreign_key", "wrong_shape", "wrong_dtype"]
+    "damage",
+    ["truncated", "header_only", "garbage_header", "foreign_key", "wrong_shape", "wrong_dtype"],
 )
-def test_bad_pattern_cache_entry_is_a_miss(tmp_path, monkeypatch, damage):
+def test_bad_pattern_cache_entry_is_a_miss(tmp_path, count_parses, damage):
     cfg = coverage_config(tmp_path, tmp_path / "out")
     first = run_coverage(cfg)
     entry = tmp_path / PATTERN_CACHE
     good = entry.read_bytes()
     entry.write_bytes(_damaged_entry(tmp_path, good, damage))
-    parses = counting_parses(monkeypatch)
+    parses = count_parses()
     assert run_coverage(cfg) == first
     assert parses == [str(tmp_path / "elements.csv")]
     assert entry.read_bytes() == good

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from arraycov import pattern
+from arraycov import pattern, patterncache
 from arraycov.errors import ParseError
 from arraycov.grid import (
     SphericalGrid,
@@ -588,6 +588,8 @@ def test_reader_peak_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 2.2 * loaded.gains.nbytes
+    # the bound holds with the cache entry's write
+    assert (tmp_path / ".patterns.csv.arraycov-cache").exists()
 
 
 def _minimal_rows(label="a"):
@@ -708,77 +710,55 @@ def _cache_entry(path):
     return path.parent / f".{path.name}.arraycov-cache"
 
 
-def _no_parse(path):
-    raise AssertionError(f"{path} was parsed on a cache hit")
-
-
 def _cached_file(tmp_path, pattern_set=None):
     """A saved pattern CSV whose cache entry has been written."""
     path = tmp_path / "patterns.csv"
     save_pattern_csv(random_set(n_feeds=3, seed=5) if pattern_set is None else pattern_set, path)
-    load_pattern_csv(path, cache=True)
+    load_pattern_csv(path)
     assert _cache_entry(path).exists()
     return path
 
 
-def test_library_load_writes_no_cache_entry(tmp_path):
-    path = tmp_path / "patterns.csv"
-    save_pattern_csv(random_set(), path)
-    load_pattern_csv(path)
-    assert sorted(os.listdir(tmp_path)) == ["patterns.csv", "patterns.json"]
-
-
-def test_cache_hit_is_the_parsed_set(tmp_path, monkeypatch):
-    path = _cached_file(tmp_path)
-    parsed = load_pattern_csv(path)
-    monkeypatch.setattr(pattern, "_read_table", _no_parse)
-    hit = load_pattern_csv(path, cache=True)
-    assert hit.feeds == parsed.feeds
+def test_cache_hit_is_the_parsed_set(tmp_path, forbid_parse):
+    saved = random_set(n_feeds=3, seed=5)
+    path = _cached_file(tmp_path, saved)
+    forbid_parse()
+    hit = load_pattern_csv(path)
+    # the parse reproduces the saved set bit-exactly, so the hit must too
+    assert hit.feeds == saved.feeds
     for name in ("theta_deg", "phi_deg", "weight_sr"):
-        assert getattr(hit.grid, name).tobytes() == getattr(parsed.grid, name).tobytes()
+        assert getattr(hit.grid, name).tobytes() == getattr(saved.grid, name).tobytes()
     assert (hit.grid.kind, hit.grid.theta_step_deg, hit.grid.phi_step_deg) == (
-        parsed.grid.kind,
-        parsed.grid.theta_step_deg,
-        parsed.grid.phi_step_deg,
+        saved.grid.kind,
+        saved.grid.theta_step_deg,
+        saved.grid.phi_step_deg,
     )
-    assert hit.gains.tobytes() == parsed.gains.tobytes()
+    assert hit.gains.tobytes() == saved.gains.tobytes()
     assert not hit.gains.flags.writeable
-    assert (hit.frequency_ghz, hit.convention) == (parsed.frequency_ghz, parsed.convention)
+    assert (hit.frequency_ghz, hit.convention) == (saved.frequency_ghz, saved.convention)
 
 
-def test_cache_hit_reads_the_sidecar(tmp_path, monkeypatch):
+def test_cache_hit_reads_the_sidecar(tmp_path, forbid_parse):
     path = _cached_file(tmp_path)
-    monkeypatch.setattr(pattern, "_read_table", _no_parse)
+    forbid_parse()
     (tmp_path / "patterns.json").write_text('{"frequency_ghz": 39.0, "convention": "x"}')
-    hit = load_pattern_csv(path, cache=True)
+    hit = load_pattern_csv(path)
     assert (hit.frequency_ghz, hit.convention) == (39.0, "x")
     (tmp_path / "patterns.json").write_text('{"frequency_ghz": "abc"}')
     with pytest.raises(ParseError, match="frequency_ghz must be a finite number"):
-        load_pattern_csv(path, cache=True)
+        load_pattern_csv(path)
 
 
-def _counting_reads(monkeypatch):
-    reads = []
-    read_table = pattern._read_table
-
-    def counted(path):
-        reads.append(path)
-        return read_table(path)
-
-    monkeypatch.setattr(pattern, "_read_table", counted)
-    return reads
-
-
-def test_cache_entry_of_another_numpy_is_a_miss(tmp_path, monkeypatch):
+def test_cache_entry_of_another_numpy_is_a_miss(tmp_path, monkeypatch, count_parses):
     path = _cached_file(tmp_path)
     entry = _cache_entry(path).read_bytes()
-    reads = _counting_reads(monkeypatch)
+    parses = count_parses()
     monkeypatch.setattr(np, "__version__", "0.0")
-    load_pattern_csv(path, cache=True)
-    assert reads == [path]
+    load_pattern_csv(path)
+    assert parses == [path]
     assert _cache_entry(path).read_bytes() != entry
-    load_pattern_csv(path, cache=True)
-    assert reads == [path]
+    load_pattern_csv(path)
+    assert parses == [path]
 
 
 def test_cache_entry_is_not_written_if_the_csv_changes_during_the_parse(tmp_path, monkeypatch):
@@ -792,8 +772,22 @@ def test_cache_entry_is_not_written_if_the_csv_changes_during_the_parse(tmp_path
         return table
 
     monkeypatch.setattr(pattern, "_read_table", read_then_edit)
-    load_pattern_csv(path, cache=True)
+    load_pattern_csv(path)
     assert not _cache_entry(path).exists()
+
+
+def test_interrupted_cache_write_leaves_no_file(tmp_path, monkeypatch):
+    path = tmp_path / "patterns.csv"
+    save_pattern_csv(random_set(), path)
+
+    def interrupt(fh, gains):
+        fh.write(b"\x93NUMPY")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(np, "save", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        load_pattern_csv(path)
+    assert sorted(os.listdir(tmp_path)) == ["patterns.csv", "patterns.json"]
 
 
 @pytest.mark.parametrize("fault", ["csv", "sidecar"])
@@ -806,43 +800,36 @@ def test_failed_load_leaves_no_cache_entry(tmp_path, fault):
         (tmp_path / "patterns.json").write_text("[1, 2]")
     for _ in range(2):
         with pytest.raises(ParseError):
-            load_pattern_csv(path, cache=True)
+            load_pattern_csv(path)
     assert not _cache_entry(path).exists()
 
 
 def _peak_over_gains(path):
-    """tracemalloc peak of a cached load of path, over its gains' size."""
+    """tracemalloc peak of a load of path, over its gains' size."""
     tracemalloc.start()
     try:
-        loaded = load_pattern_csv(path, cache=True)
+        loaded = load_pattern_csv(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     return peak / loaded.gains.nbytes
 
 
-def test_cache_hit_peak_memory(tmp_path, monkeypatch):
+def test_cache_hit_peak_memory(tmp_path, monkeypatch, forbid_parse):
     # the full-scale input: the hit holds the gains, read from the entry
     # once, and the CSV's key is read 64 KiB at a time
     path = _cached_file(tmp_path, random_set(1.0, 10.0, n_feeds=8))
-    monkeypatch.setattr(pattern, "_read_table", _no_parse)
+    forbid_parse()
     assert _peak_over_gains(path) <= 1.3
 
     # a key of the whole file read at once (4.8 MB here) fails the bound
-    cache_key = pattern._cache_key
+    cache_key = patterncache._key
 
     def whole_file_key(path):
         with open(path, "rb") as fh:
             data = fh.read()
         return [len(data), zlib.crc32(data), *cache_key(path)[2:]]
 
-    monkeypatch.setattr(pattern, "_cache_key", whole_file_key)
+    monkeypatch.setattr(patterncache, "_key", whole_file_key)
     assert _peak_over_gains(path) > 1.3
 
-
-def test_cache_miss_peak_memory(tmp_path):
-    # the parse and the entry's write stay within the reader's bound
-    path = tmp_path / "patterns.csv"
-    save_pattern_csv(random_set(1.0, 10.0, n_feeds=8), path)
-    assert _peak_over_gains(path) <= 2.2
-    assert _cache_entry(path).exists()
