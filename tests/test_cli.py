@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arraycov import cli, pattern, patterncache
+from arraycov import cli, patterncache
 from arraycov.cli import main
 from arraycov.coverage import CDF_CSV_HEADER, load_cdf_csv
 from arraycov.deembed import LOSS_CSV_HEADER, load_loss_csv
