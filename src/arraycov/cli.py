@@ -195,7 +195,7 @@ def _load_pattern_input(config):
         from . import deembed
         table = deembed.load_loss_csv(_input_file(config, "loss_table"))
         try:
-            pattern_set = deembed.apply_losses(pattern_set, table)
+            pattern_set = deembed.apply_losses_in_place(pattern_set, table)
         except KeyError as exc:
             raise ConfigError(
                 f"loss_table does not cover the pattern feeds: {exc.args[0]}"

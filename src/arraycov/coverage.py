@@ -7,7 +7,6 @@ not over-represent the poles) is the spherical coverage.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +24,6 @@ WEIGHTING_SAMPLE_COUNT = "sample-count"
 MAE_FLOOR_DB = -60.0
 
 
-@dataclass(frozen=True)
 class GainMap:
     """Per-direction linear power gain with the winning realization index.
 
@@ -33,24 +31,21 @@ class GainMap:
     order) that achieves the maximum at each direction.
     """
 
-    grid: SphericalGrid
-    gain: np.ndarray
-    best_index: np.ndarray | None = None
+    __slots__ = ("grid", "gain", "best_index")
 
-    def __post_init__(self):
-        gain = np.ascontiguousarray(self.gain, dtype=np.float64)
-        if gain.shape != (len(self.grid),):
+    def __init__(self, grid, gain, best_index=None):
+        gain = np.ascontiguousarray(gain, dtype=np.float64)
+        if gain.shape != (len(grid),):
             raise ValueError("gain array does not match grid size")
         if np.any(gain < 0.0) or not np.all(np.isfinite(gain)):
             raise ValueError("gains must be finite and non-negative")
         gain.flags.writeable = False
-        object.__setattr__(self, "gain", gain)
-        if self.best_index is not None:
-            idx = np.ascontiguousarray(self.best_index, dtype=np.int64)
-            if idx.shape != gain.shape:
+        if best_index is not None:
+            best_index = np.ascontiguousarray(best_index, dtype=np.int64)
+            if best_index.shape != gain.shape:
                 raise ValueError("best_index does not match grid size")
-            idx.flags.writeable = False
-            object.__setattr__(self, "best_index", idx)
+            best_index.flags.writeable = False
+        self.grid, self.gain, self.best_index = grid, gain, best_index
 
     def gain_db(self) -> np.ndarray:
         with np.errstate(divide="ignore"):
@@ -76,7 +71,6 @@ def max_gain_over_plan(pattern_set: ElementPatternSet, plan: SynthesisPlan) -> G
     return GainMap(grid, best_power, best_index)
 
 
-@dataclass(frozen=True)
 class CoverageResult:
     """Aggregated CDF points of a gain map.
 
@@ -85,13 +79,11 @@ class CoverageResult:
     coverage CDF P(G < x) is evaluated by cdf_at.
     """
 
-    gain_db: np.ndarray
-    cdf: np.ndarray
-    weighting: str = WEIGHTING_SOLID_ANGLE
+    __slots__ = ("gain_db", "cdf", "weighting")
 
-    def __post_init__(self):
-        g = np.ascontiguousarray(self.gain_db, dtype=np.float64)
-        c = np.ascontiguousarray(self.cdf, dtype=np.float64)
+    def __init__(self, gain_db, cdf, weighting=WEIGHTING_SOLID_ANGLE):
+        g = np.ascontiguousarray(gain_db, dtype=np.float64)
+        c = np.ascontiguousarray(cdf, dtype=np.float64)
         if g.ndim != 1 or g.shape != c.shape or g.size == 0:
             raise ValueError("gain_db and cdf must be equal-length 1-D arrays")
         if np.any(g[1:] <= g[:-1]):
@@ -100,8 +92,7 @@ class CoverageResult:
             raise ValueError("cdf must increase to 1")
         for arr in (g, c):
             arr.flags.writeable = False
-        object.__setattr__(self, "gain_db", g)
-        object.__setattr__(self, "cdf", c)
+        self.gain_db, self.cdf, self.weighting = g, c, weighting
 
     def cdf_at(self, x_db) -> float:
         """Strict empirical CDF P(G < x)."""

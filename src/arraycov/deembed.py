@@ -8,12 +8,10 @@ exhaustive quantized-phase search downstream absorbs phase offsets.
 """
 
 import math
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import EstimationError, ParseError
-from .grid import Direction
 from .ioutil import parse_floats, table_rows, write_csv
 from .pattern import ElementPatternSet
 
@@ -24,18 +22,15 @@ DEFAULT_WINDOW_HALFWIDTH_DEG = 60.0
 DEFAULT_FLOOR_DB = -60.0
 
 
-@dataclass(frozen=True)
 class BeamWindow:
     """Rectangular (theta, phi) chart window around a boresight."""
 
-    center: Direction
-    half_width_deg: float = DEFAULT_WINDOW_HALFWIDTH_DEG
+    __slots__ = ("center", "half_width_deg")
 
-    def __post_init__(self):
-        if not (0.0 < self.half_width_deg <= 90.0):
-            raise ValueError(
-                f"window half-width must be in (0, 90], got {self.half_width_deg}"
-            )
+    def __init__(self, center, half_width_deg=DEFAULT_WINDOW_HALFWIDTH_DEG):
+        if not (0.0 < half_width_deg <= 90.0):
+            raise ValueError(f"window half-width must be in (0, 90], got {half_width_deg}")
+        self.center, self.half_width_deg = center, half_width_deg
 
     def mask(self, grid) -> np.ndarray:
         dtheta = np.abs(grid.theta_deg - self.center.theta_deg)
@@ -44,21 +39,17 @@ class BeamWindow:
         return (dtheta <= self.half_width_deg) & (dphi <= self.half_width_deg)
 
 
-@dataclass(frozen=True)
 class PortLossTable:
     """Per-feed magnitude corrections in dB, with their window widths."""
 
-    feeds: tuple
-    loss_db: dict = field(compare=False)
-    window_halfwidth_deg: dict = field(compare=False)
+    __slots__ = ("feeds", "loss_db", "window_halfwidth_deg")
 
-    def __post_init__(self):
-        feeds = tuple(self.feeds)
+    def __init__(self, feeds, loss_db, window_halfwidth_deg):
+        feeds = tuple(feeds)
         for feed in feeds:
-            loss = self.loss_db[feed]
-            if not math.isfinite(loss):
-                raise ValueError(f"loss for feed {feed} is not finite: {loss}")
-        object.__setattr__(self, "feeds", feeds)
+            if not math.isfinite(loss_db[feed]):
+                raise ValueError(f"loss for feed {feed} is not finite: {loss_db[feed]}")
+        self.feeds, self.loss_db, self.window_halfwidth_deg = feeds, loss_db, window_halfwidth_deg
 
     def loss(self, feed) -> float:
         if feed not in self.loss_db:
@@ -109,17 +100,37 @@ def estimate_losses(
     return PortLossTable(tuple(simulated.feeds), losses, halfwidths)
 
 
+def _factors(measured, table):
+    """Each feed's field factor 10^(loss/20), shaped to scale the gains;
+    KeyError for a feed the table lacks."""
+    factors = [10.0 ** (table.loss(feed) / 20.0) for feed in measured.feeds]
+    return np.array(factors)[:, np.newaxis, np.newaxis]
+
+
 def apply_losses(measured: ElementPatternSet, table: PortLossTable) -> ElementPatternSet:
     """Scale each feed's complex samples by 10^(loss/20).
 
     Polarization ratios and phases are unchanged; every power gain of
     feed f moves up by exactly loss_f dB.
     """
-    factors = np.array(
-        [10.0 ** (table.loss(feed) / 20.0) for feed in measured.feeds]
+    gains = measured.gains * _factors(measured, table)
+    return ElementPatternSet(
+        measured.grid, measured.feeds, gains, measured.frequency_ghz, measured.convention
     )
-    gains = measured.gains * factors[:, np.newaxis, np.newaxis]
-    return replace(measured, gains=gains)
+
+
+def apply_losses_in_place(measured: ElementPatternSet, table: PortLossTable):
+    """apply_losses for a caller that holds the only reference to measured:
+    its gains are scaled where they are, so no second copy is alive, and
+    measured must not be used afterwards. Every factor is computed before
+    the first write, so a KeyError leaves the gains as they were."""
+    factors = _factors(measured, table)
+    gains = measured.gains
+    gains.flags.writeable = True
+    np.multiply(gains, factors, out=gains)  # the multiply apply_losses runs
+    return ElementPatternSet(
+        measured.grid, measured.feeds, gains, measured.frequency_ghz, measured.convention
+    )
 
 
 LOSS_CSV_HEADER = ["feed", "loss_db", "window_halfwidth_deg"]
@@ -140,10 +151,7 @@ def load_loss_csv(path) -> PortLossTable:
             raise ParseError(
                 f"missing or repeated feed label {feed!r}", path=path, row=row
             )
-        losses[feed], halfwidths[feed] = parse_floats(cells[1:], path, row)
+        losses[feed], halfwidths[feed] = parse_floats(cells[1:], path, row, finite=True)
     if not losses:
         raise ParseError("no entries", path=path)
-    try:
-        return PortLossTable(tuple(losses), losses, halfwidths)
-    except ValueError as exc:
-        raise ParseError(str(exc), path=path) from exc
+    return PortLossTable(tuple(losses), losses, halfwidths)

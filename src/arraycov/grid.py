@@ -11,7 +11,6 @@ every full-sphere grid closes to 4*pi up to rounding.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +54,6 @@ def direction_keys(theta_deg, phi_deg):
     return _round9(theta), _round9(phi)
 
 
-@dataclass(frozen=True)
 class Direction:
     """A direction on the sphere: polar angle theta (0 = +z), azimuth phi.
 
@@ -64,36 +62,36 @@ class Direction:
     compare equal regardless of the phi they were built with.
     """
 
-    theta_deg: float
-    phi_deg: float = 0.0
+    __slots__ = ("theta_deg", "phi_deg")
 
-    def __post_init__(self):
-        theta = float(self.theta_deg)
-        phi = float(self.phi_deg)
+    def __init__(self, theta_deg, phi_deg=0.0):
+        theta = float(theta_deg)
+        phi = float(phi_deg)
         if not (0.0 <= theta <= 180.0) or not math.isfinite(phi):
             raise ValueError(f"direction out of range: theta={theta}, phi={phi}")
-        phi = phi % 360.0
-        if _is_pole(theta):
-            phi = 0.0
-        object.__setattr__(self, "theta_deg", theta)
-        object.__setattr__(self, "phi_deg", phi)
+        self.theta_deg = theta
+        self.phi_deg = 0.0 if _is_pole(theta) else phi % 360.0
+
+    def __eq__(self, other):
+        if not isinstance(other, Direction):
+            return NotImplemented
+        return (self.theta_deg, self.phi_deg) == (other.theta_deg, other.phi_deg)
+
+    def __hash__(self):
+        return hash((self.theta_deg, self.phi_deg))
 
 
-@dataclass(frozen=True)
 class SphericalGrid:
     """Ordered direction samples with per-direction solid angles [sr]."""
 
-    theta_deg: np.ndarray
-    phi_deg: np.ndarray
-    weight_sr: np.ndarray
-    kind: str
-    theta_step_deg: float | None = None
-    phi_step_deg: float | None = None
+    __slots__ = ("theta_deg", "phi_deg", "weight_sr", "kind", "theta_step_deg", "phi_step_deg")
 
-    def __post_init__(self):
-        theta = np.ascontiguousarray(self.theta_deg, dtype=np.float64)
-        phi = np.ascontiguousarray(self.phi_deg, dtype=np.float64)
-        weight = np.ascontiguousarray(self.weight_sr, dtype=np.float64)
+    def __init__(
+        self, theta_deg, phi_deg, weight_sr, kind, theta_step_deg=None, phi_step_deg=None
+    ):
+        theta = np.ascontiguousarray(theta_deg, dtype=np.float64)
+        phi = np.ascontiguousarray(phi_deg, dtype=np.float64)
+        weight = np.ascontiguousarray(weight_sr, dtype=np.float64)
         if not (theta.shape == phi.shape == weight.shape) or theta.ndim != 1:
             raise ValueError("grid arrays must be 1-D and equally sized")
         if theta.size == 0:
@@ -102,9 +100,9 @@ class SphericalGrid:
             raise ValueError("solid-angle weights must be positive and finite")
         for arr in (theta, phi, weight):
             arr.flags.writeable = False
-        object.__setattr__(self, "theta_deg", theta)
-        object.__setattr__(self, "phi_deg", phi)
-        object.__setattr__(self, "weight_sr", weight)
+        self.theta_deg, self.phi_deg, self.weight_sr = theta, phi, weight
+        self.kind = kind
+        self.theta_step_deg, self.phi_step_deg = theta_step_deg, phi_step_deg
         key_t, key_p = direction_keys(theta, phi)
         order = np.lexsort((key_p, key_t))
         repeated = (key_t[order[1:]] == key_t[order[:-1]]) & (
@@ -192,20 +190,15 @@ def _uniform_ring_layout(target_count):
     # rings at (r + 0.5) * 180/M; equator azimuth count tuned so the
     # total sample count lands as close to the target as possible
     n_rings = max(2, round(math.sqrt(math.pi * target_count) / 2.0))
-
-    def total(n_eq):
-        count = 0
-        for r in range(n_rings):
-            theta = math.radians((r + 0.5) * 180.0 / n_rings)
-            count += max(1, round(n_eq * math.sin(theta)))
-        return count
-
-    best_eq, best_diff = 1, abs(total(1) - target_count)
-    for n_eq in range(2, 8 * n_rings + 1):
-        diff = abs(total(n_eq) - target_count)
-        if diff < best_diff:
-            best_eq, best_diff = n_eq, diff
-    return n_rings, best_eq
+    # the totals of every candidate n_eq = 1 .. 8M, summed ring by ring;
+    # np.rint rounds half to even, as round does
+    n_eq = np.arange(1.0, 8 * n_rings + 1)
+    totals = np.zeros(n_eq.size)
+    for r in range(n_rings):
+        sin = math.sin(math.radians((r + 0.5) * 180.0 / n_rings))
+        totals += np.maximum(1.0, np.rint(n_eq * sin))
+    # the smallest n_eq among those nearest the target
+    return n_rings, int(np.argmin(np.abs(totals - target_count))) + 1
 
 
 def make_uniform_sphere_grid(target_count) -> SphericalGrid:

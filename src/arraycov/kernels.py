@@ -69,18 +69,25 @@ def _form_factors(elem_gains, phasors):
     """
     n_el, n_dir, _ = elem_gains.shape
     n, m = np.tril_indices(n_el, k=-1)
-    # C-ordered, so that its float64 view interleaves Re and Im in place
-    cross_w = np.empty((phasors.shape[0], m.size), dtype=np.complex128)
-    np.multiply(phasors[:, m], phasors[:, n].conj(), out=cross_w)
-    factors = np.hstack([phasors.real**2 + phasors.imag**2, cross_w.view(np.float64)])
-    # one element or pair at a time, so that no (N, n_dir, 2) temporary is alive
+    factors = np.empty((phasors.shape[0], n_el**2))
+    np.add(phasors.real**2, phasors.imag**2, out=factors[:, :n_el])
+    # a complex view of the pair columns puts each Re beside its Im
+    np.multiply(phasors[:, m], phasors[:, n].conj(), out=factors[:, n_el:].view(np.complex128))
+    # one element or pair at a time, so that no (N, n_dir, 2) temporary is
+    # alive. Each sum over the two polarizations keeps the bits of numpy's
+    # sum over them, which starts from +0: no square is -0, but a product's
+    # part can be, and +0 + -0 is +0.
     form = np.empty((n_el**2, n_dir))
     for i, g in enumerate(elem_gains):
-        form[i] = (g.real**2 + g.imag**2).sum(axis=1)
+        g0, g1 = g[:, 0], g[:, 1]
+        np.add(g0.real**2 + g0.imag**2, g1.real**2 + g1.imag**2, out=form[i])
     for k, (i, j) in enumerate(zip(m, n)):
-        cross_r = (elem_gains[i] * elem_gains[j].conj()).sum(axis=1)
-        form[n_el + 2 * k] = 2.0 * cross_r.real
-        form[n_el + 2 * k + 1] = -2.0 * cross_r.imag
+        g, h = elem_gains[i], elem_gains[j]
+        cross = g[:, 0] * h[:, 0].conj()
+        cross += 0.0
+        cross += g[:, 1] * h[:, 1].conj()
+        np.multiply(cross.real, 2.0, out=form[n_el + 2 * k])
+        np.multiply(cross.imag, -2.0, out=form[n_el + 2 * k + 1])
     return factors, form
 
 

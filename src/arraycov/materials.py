@@ -11,7 +11,6 @@ the substrate outward.
 import cmath
 import math
 import os
-from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -26,7 +25,6 @@ POL_TE = "TE"
 POL_TM = "TM"
 
 
-@dataclass(frozen=True)
 class MaterialRecord:
     """Tabulated relative permittivity vs frequency, linear interpolation.
 
@@ -34,15 +32,12 @@ class MaterialRecord:
     and similar low-dispersion materials are stored this way).
     """
 
-    name: str
-    frequency_ghz: np.ndarray
-    eps_real: np.ndarray
-    eps_imag: np.ndarray
+    __slots__ = ("name", "frequency_ghz", "eps_real", "eps_imag")
 
-    def __post_init__(self):
-        f = np.atleast_1d(np.asarray(self.frequency_ghz, dtype=np.float64))
-        er = np.atleast_1d(np.asarray(self.eps_real, dtype=np.float64))
-        ei = np.atleast_1d(np.asarray(self.eps_imag, dtype=np.float64))
+    def __init__(self, name, frequency_ghz, eps_real, eps_imag):
+        f = np.atleast_1d(np.asarray(frequency_ghz, dtype=np.float64))
+        er = np.atleast_1d(np.asarray(eps_real, dtype=np.float64))
+        ei = np.atleast_1d(np.asarray(eps_imag, dtype=np.float64))
         if not (f.shape == er.shape == ei.shape) or f.ndim != 1 or f.size == 0:
             raise ValueError("record arrays must be 1-D and equally sized")
         if f.size > 1 and np.any(np.diff(f) <= 0.0):
@@ -53,9 +48,7 @@ class MaterialRecord:
             raise ValueError("eps_imag must be >= 0 (eps = eps' - j*eps'')")
         for arr in (f, er, ei):
             arr.flags.writeable = False
-        object.__setattr__(self, "frequency_ghz", f)
-        object.__setattr__(self, "eps_real", er)
-        object.__setattr__(self, "eps_imag", ei)
+        self.name, self.frequency_ghz, self.eps_real, self.eps_imag = name, f, er, ei
 
 
 AIR = MaterialRecord("air", [1.0], [1.0], [0.0])
@@ -118,29 +111,25 @@ def penetration_depth_mm(material: MaterialRecord, f_ghz, extrapolate=False) -> 
         ) from None
 
 
-@dataclass(frozen=True)
 class Layer:
-    material: MaterialRecord
-    thickness_mm: float
+    __slots__ = ("material", "thickness_mm")
 
-    def __post_init__(self):
-        if not (self.thickness_mm > 0.0) or not math.isfinite(self.thickness_mm):
-            raise ValueError(f"thickness must be positive, got {self.thickness_mm}")
+    def __init__(self, material, thickness_mm):
+        if not (thickness_mm > 0.0) or not math.isfinite(thickness_mm):
+            raise ValueError(f"thickness must be positive, got {thickness_mm}")
+        self.material, self.thickness_mm = material, thickness_mm
 
 
-@dataclass(frozen=True)
 class LayerStack:
     """Ordered slab layers between two half-spaces, outside-in."""
 
-    layers: tuple
-    incident: MaterialRecord = AIR
-    substrate: MaterialRecord = AIR
+    __slots__ = ("layers", "incident", "substrate")
 
-    def __post_init__(self):
-        layers = tuple(self.layers)
+    def __init__(self, layers, incident=AIR, substrate=AIR):
+        layers = tuple(layers)
         if not layers:
             raise ValueError("stack needs at least one layer")
-        object.__setattr__(self, "layers", layers)
+        self.layers, self.incident, self.substrate = layers, incident, substrate
 
 
 def _kz(eps: complex, eps_incident: complex, sin2_theta0: float, k0: float) -> complex:

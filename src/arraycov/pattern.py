@@ -9,7 +9,6 @@ import csv
 import itertools
 import os
 import sys
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,7 +47,6 @@ PATTERN_CSV_HEADER = [
 _POLE_MERGE_ATOL = 1e-7
 
 
-@dataclass(frozen=True)
 class ElementPatternSet:
     """Feed-by-direction matrix of polarimetric samples on one grid.
 
@@ -56,27 +54,24 @@ class ElementPatternSet:
     theta polarization and component 1 the phi polarization.
     """
 
-    grid: SphericalGrid
-    feeds: tuple
-    gains: np.ndarray
-    frequency_ghz: float = DEFAULT_FREQUENCY_GHZ
-    convention: str = DEFAULT_CONVENTION
+    __slots__ = ("grid", "feeds", "gains", "frequency_ghz", "convention")
 
-    def __post_init__(self):
-        feeds = tuple(str(f) for f in self.feeds)
+    def __init__(self, grid, feeds, gains, frequency_ghz=DEFAULT_FREQUENCY_GHZ,
+                 convention=DEFAULT_CONVENTION):
+        feeds = tuple(str(f) for f in feeds)
         if len(set(feeds)) != len(feeds) or not feeds:
             raise ValueError("feed labels must be unique and non-empty")
-        gains = np.ascontiguousarray(self.gains, dtype=np.complex128)
-        if gains.shape != (len(feeds), len(self.grid), 2):
+        gains = np.ascontiguousarray(gains, dtype=np.complex128)
+        if gains.shape != (len(feeds), len(grid), 2):
             raise ValueError(
                 f"gains shape {gains.shape} does not match "
-                f"({len(feeds)}, {len(self.grid)}, 2)"
+                f"({len(feeds)}, {len(grid)}, 2)"
             )
         if not np.all(np.isfinite(gains)):
             raise ValueError("pattern samples must be finite")
         gains.flags.writeable = False
-        object.__setattr__(self, "feeds", feeds)
-        object.__setattr__(self, "gains", gains)
+        self.grid, self.feeds, self.gains = grid, feeds, gains
+        self.frequency_ghz, self.convention = frequency_ghz, convention
 
     def feed_index(self, feed) -> int:
         try:
@@ -423,8 +418,9 @@ def resample(pattern_set: ElementPatternSet, target: SphericalGrid) -> ElementPa
     src = pattern_set.grid
     if not src.is_regular:
         raise ValueError("resample requires a regular source grid")
+    feeds, meta = pattern_set.feeds, (pattern_set.frequency_ghz, pattern_set.convention)
     if target.same_directions(src):
-        return replace(pattern_set, grid=target)
+        return ElementPatternSet(target, feeds, pattern_set.gains, *meta)
 
     index = _ring_index(src)
     t_step = src.theta_step_deg
@@ -452,4 +448,4 @@ def resample(pattern_set: ElementPatternSet, target: SphericalGrid) -> ElementPa
         + v10 * wt * (1.0 - wp)
         + v11 * wt * wp
     )
-    return replace(pattern_set, grid=target, gains=gains)
+    return ElementPatternSet(target, feeds, gains, *meta)

@@ -8,7 +8,6 @@ the four-sub-array phone configuration.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,38 +23,34 @@ MAX_BITS = 6
 MAX_WEIGHTS = 10_000_000
 
 
-@dataclass(frozen=True)
 class SubArraySpec:
     """A labeled group of feed indices combined by one weight vector."""
 
-    label: str
-    feed_indices: tuple
+    __slots__ = ("label", "feed_indices")
 
-    def __post_init__(self):
-        idx = tuple(int(i) for i in self.feed_indices)
+    def __init__(self, label, feed_indices):
+        idx = tuple(int(i) for i in feed_indices)
         if len(idx) < 1 or len(set(idx)) != len(idx) or any(i < 0 for i in idx):
             raise ValueError(f"feed indices must be unique and non-negative: {idx}")
-        object.__setattr__(self, "feed_indices", idx)
+        self.label, self.feed_indices = label, idx
 
     @property
     def size(self) -> int:
         return len(self.feed_indices)
 
 
-@dataclass(frozen=True)
 class WeightVector:
     """Per-element phases in degrees plus a common amplitude."""
 
-    phases_deg: tuple
-    amplitude: float
+    __slots__ = ("phases_deg", "amplitude")
 
-    def __post_init__(self):
-        phases = tuple(float(p) for p in self.phases_deg)
+    def __init__(self, phases_deg, amplitude):
+        phases = tuple(float(p) for p in phases_deg)
         if not phases or not all(map(math.isfinite, phases)):
             raise ValueError(f"invalid phases {phases}")
-        if not (self.amplitude > 0.0):
-            raise ValueError(f"amplitude must be positive, got {self.amplitude}")
-        object.__setattr__(self, "phases_deg", phases)
+        if not (amplitude > 0.0):
+            raise ValueError(f"amplitude must be positive, got {amplitude}")
+        self.phases_deg, self.amplitude = phases, amplitude
 
     @property
     def phasors(self) -> np.ndarray:
@@ -95,35 +90,34 @@ def enumerate_weights(spec: SubArraySpec, bits) -> np.ndarray:
     return (1.0 / math.sqrt(n)) * np.exp(1j * np.radians(phases))
 
 
-@dataclass(frozen=True)
 class SynthesisPlan:
     """Sub-array list plus shared phase-shifter bit depth."""
 
-    sub_arrays: tuple
-    bits: int = 3
+    __slots__ = ("sub_arrays", "bits")
 
-    def __post_init__(self):
-        subs = tuple(self.sub_arrays)
+    def __init__(self, sub_arrays, bits=3):
+        subs = tuple(sub_arrays)
         if not subs:
             raise ValueError("plan needs at least one sub-array")
         labels = [s.label for s in subs]
         if len(set(labels)) != len(labels):
             raise ValueError(f"sub-array labels must be unique: {labels}")
         for s in subs:
-            weight_count(s.size, self.bits)
-        object.__setattr__(self, "sub_arrays", subs)
+            weight_count(s.size, bits)
+        self.sub_arrays, self.bits = subs, bits
 
     @property
     def realization_count(self) -> int:
         return sum(weight_count(s.size, self.bits) for s in self.sub_arrays)
 
 
-@dataclass(frozen=True)
 class SynthesizedPattern:
     """Complex combined fields on a grid: shape (n_directions, 2)."""
 
-    grid: object
-    fields: np.ndarray
+    __slots__ = ("grid", "fields")
+
+    def __init__(self, grid, fields):
+        self.grid, self.fields = grid, fields
 
     def power_gain(self) -> np.ndarray:
         return np.abs(self.fields[:, 0]) ** 2 + np.abs(self.fields[:, 1]) ** 2

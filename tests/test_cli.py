@@ -548,15 +548,16 @@ def test_non_utf8_pattern_or_sidecar_exits_3(tmp_path, capsys):
 
 
 def test_infinite_loss_exits_3_naming_the_loss_table(tmp_path, capsys):
+    # a nan window once loaded silently, and a nan loss failed with no row
     loss_path = tmp_path / "losses.csv"
-    loss_path.write_text("feed,loss_db,window_halfwidth_deg\nf0,inf,60.0\nf1,1.0,60.0\n")
     out = tmp_path / "out"
     cfg = coverage_config(tmp_path, out, extra={"loss_table": str(loss_path)})
-    assert main(["coverage", "--config", cfg]) == 3
-    err = capsys.readouterr().err
-    assert "parse error: loss for feed f0 is not finite" in err
-    assert str(loss_path) in err
-    assert not out.exists()
+    for bad_row in ("f1,inf,60.0", "f1,nan,60.0", "f1,1.0,nan"):
+        loss_path.write_text(f"feed,loss_db,window_halfwidth_deg\nf0,1.0,60.0\n{bad_row}\n")
+        assert main(["coverage", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert f"parse error: non-finite value ({loss_path}, row 3)" in err
+        assert not out.exists()
 
 
 def test_oversized_loss_table_field_exits_3_naming_row(tmp_path, capsys):
@@ -1094,6 +1095,43 @@ def test_failed_cache_write_is_skipped(tmp_path, monkeypatch):
     assert not [name for name in os.listdir(tmp_path) if name.startswith(".")]
     assert run_coverage(cfg) == unwritten
     assert (tmp_path / PATTERN_CACHE).exists()
+
+
+def test_deembedded_coverage_run_reads_and_leaves_unscaled_gains(tmp_path, forbid_parse):
+    # the run scales the loaded gains in place; the entry its miss writes
+    # keeps the CSV's gains, and a hit writes the miss's bytes
+    loss_path = tmp_path / "losses.csv"
+    loss_path.write_text("feed,loss_db,window_halfwidth_deg\nf0,2.5,60\nf1,-1.25,60\n")
+    cfg = coverage_config(tmp_path, tmp_path / "out", extra={"loss_table": str(loss_path)})
+    saved = load_pattern_csv(tmp_path / "elements.csv")
+    os.remove(tmp_path / PATTERN_CACHE)
+    miss = run_coverage(cfg)
+    forbid_parse()
+    hit = load_pattern_csv(tmp_path / "elements.csv")
+    assert np.array_equal(hit.gains.view(np.int64), saved.gains.view(np.int64))
+    assert run_coverage(cfg) == miss
+
+
+def test_deembedded_coverage_run_loads_no_dataclasses(tmp_path):
+    # building dataclasses took about 1 ms each at every run's start-up
+    loss_path = tmp_path / "losses.csv"
+    loss_path.write_text("feed,loss_db,window_halfwidth_deg\nf0,1.5,60\nf1,0.5,60\n")
+    cfg = coverage_config(tmp_path, tmp_path / "out", extra={"loss_table": str(loss_path)})
+    code = (
+        "import sys; from arraycov.cli import main; "
+        f"print(main(['coverage', '--config', {cfg!r}]), 'dataclasses' in sys.modules)"
+    )
+    assert run_child(code) == ["0", "False"]
+
+
+def test_unmapped_exception_is_raised(tmp_path, monkeypatch):
+    # no EXIT_CODES row maps it, so main neither reports nor hides it
+    def crash(path):
+        raise RuntimeError("not a user error")
+
+    monkeypatch.setattr(cli, "_load_config", crash)
+    with pytest.raises(RuntimeError, match="not a user error"):
+        main(["grid", "--config", str(tmp_path / "config.json")])
 
 
 def test_cached_coverage_run_loads_no_hashlib(tmp_path):

@@ -236,10 +236,11 @@ def test_loss_csv_errors(tmp_path):
     path.write_text("feed,loss_db,window_halfwidth_deg\n1V,1.0,60\n1V,2.0,60\n")
     with pytest.raises(ParseError):
         load_loss_csv(path)
-    path.write_text("feed,loss_db,window_halfwidth_deg\n1V,inf,60\n")
-    with pytest.raises(ParseError, match="not finite") as err:
-        load_loss_csv(path)
-    assert err.value.path == path
+    for bad_row in ("1V,inf,60", "1V,nan,60", "1V,1.0,nan", "1V,1.0,-inf"):
+        path.write_text(f"feed,loss_db,window_halfwidth_deg\n2V,1.0,60\n{bad_row}\n")
+        with pytest.raises(ParseError, match="non-finite value") as err:
+            load_loss_csv(path)
+        assert (err.value.path, err.value.row) == (path, 3)
 
 
 def test_table_validation():

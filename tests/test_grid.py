@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from arraycov.grid import (
     direction_keys,
     load_grid_csv,
     make_regular_grid,
+    _uniform_ring_layout,
     make_uniform_sphere_grid,
     regular_ring_structure,
     save_grid_csv,
@@ -152,6 +154,32 @@ def test_uniform_grid_deterministic():
     assert np.array_equal(a.weight_sr, b.weight_sr)
 
 
+@functools.cache
+def _ring_total(n_rings, n_eq):
+    count = 0
+    for r in range(n_rings):
+        theta = math.radians((r + 0.5) * 180.0 / n_rings)
+        count += max(1, round(n_eq * math.sin(theta)))
+    return count
+
+
+def _reference_ring_layout(target_count):
+    # the layout as a loop over every candidate n_eq, with Python's round;
+    # a ring count's totals are shared by every target that has it
+    n_rings = max(2, round(math.sqrt(math.pi * target_count) / 2.0))
+    best_eq, best_diff = 1, abs(_ring_total(n_rings, 1) - target_count)
+    for n_eq in range(2, 8 * n_rings + 1):
+        diff = abs(_ring_total(n_rings, n_eq) - target_count)
+        if diff < best_diff:
+            best_eq, best_diff = n_eq, diff
+    return n_rings, best_eq
+
+
+def test_uniform_ring_layout_matches_candidate_loop():
+    for target in [*range(6, 3001), 6446, 64442]:
+        assert _uniform_ring_layout(target) == _reference_ring_layout(target), target
+
+
 def test_uniform_grid_rejects_tiny_targets():
     with pytest.raises(ValueError):
         make_uniform_sphere_grid(5)
@@ -259,6 +287,17 @@ def test_detect_regular_steps():
     assert steps == (15.0, 45.0)
     uniform = make_uniform_sphere_grid(100)
     assert detect_regular_steps(uniform.theta_deg, uniform.phi_deg) is None
+
+
+def test_detect_regular_steps_rejects_off_lattice_rings_and_doubled_poles():
+    grid = make_regular_grid(60.0, 90.0)
+    theta = grid.theta_deg.copy()
+    theta[theta == 60.0] = 50.0  # poles and three rings, not evenly spaced
+    assert detect_regular_steps(theta, grid.phi_deg) is None
+    # a second north-pole sample at another phi
+    theta = np.concatenate([[0.0], grid.theta_deg])
+    phi = np.concatenate([[90.0], grid.phi_deg])
+    assert detect_regular_steps(theta, phi) is None
 
 
 @pytest.mark.parametrize(

@@ -79,6 +79,38 @@ def test_form_factors_layout(n_el):
     np.testing.assert_array_equal(factors[:, n_el**2 - 2 * (n_el - 1) :], expected)
 
 
+def reference_form_factors(elem_gains, phasors):
+    """_form_factors as numpy's reductions over the polarizations give it."""
+    n_el, n_dir, _ = elem_gains.shape
+    n, m = np.tril_indices(n_el, k=-1)
+    cross_w = np.empty((phasors.shape[0], m.size), dtype=np.complex128)
+    np.multiply(phasors[:, m], phasors[:, n].conj(), out=cross_w)
+    factors = np.hstack([phasors.real**2 + phasors.imag**2, cross_w.view(np.float64)])
+    form = np.empty((n_el**2, n_dir))
+    for i, g in enumerate(elem_gains):
+        form[i] = (g.real**2 + g.imag**2).sum(axis=1)
+    for k, (i, j) in enumerate(zip(m, n)):
+        cross_r = (elem_gains[i] * elem_gains[j].conj()).sum(axis=1)
+        form[n_el + 2 * k] = 2.0 * cross_r.real
+        form[n_el + 2 * k + 1] = -2.0 * cross_r.imag
+    return factors, form
+
+
+@pytest.mark.parametrize("n_weights", [1, 2, 127, 300])
+@pytest.mark.parametrize("n_el", [1, 2, 3, 4, 5, 8])
+def test_form_factors_match_reductions_bit_for_bit(n_el, n_weights):
+    # zero and -0.0 samples: numpy's sum starts from +0, so two -0 terms add to +0
+    gains, phasors = random_problem(n_el, 301, n_weights, seed=n_el * n_weights)
+    gains[:, ::5] = 0.0
+    gains[:, ::7] *= -0.0
+    gains[::2, ::11] = complex(-0.0, -0.0)
+    phasors[::3] *= -0.0
+    for actual, expected in zip(kernels._form_factors(gains, phasors),
+                                reference_form_factors(gains, phasors)):
+        assert actual.shape == expected.shape
+        np.testing.assert_array_equal(actual.view(np.int64), expected.view(np.int64))
+
+
 @pytest.fixture
 def fresh_probe():
     kernels._narrowing_is_exact.cache_clear()

@@ -15,6 +15,7 @@ from arraycov.materials import (
     Layer,
     LayerStack,
     MaterialRecord,
+    _kz,
     builtin_material,
     layered_reflection,
     load_material_csv,
@@ -210,6 +211,21 @@ def test_brewster_angle_kills_tm():
     te = layered_reflection(halfspace(LDPE), 28.0, brewster, POL_TE)
     assert abs(tm) < 1e-12
     assert abs(te) > 0.1
+
+
+def test_lossy_incident_medium_keeps_the_decaying_branch():
+    # eps - eps_inc sin^2 has a positive imaginary part when the incident
+    # medium is lossier than the layer; the principal root is flipped
+    eps_inc = complex(2.0, -1.5)
+    sin2 = math.sin(math.radians(40.0)) ** 2
+    root = cmath.sqrt(1.0 - eps_inc * sin2)
+    assert root.imag > 0.0
+    kz = _kz(1.0 + 0j, eps_inc, sin2, 0.5)
+    assert kz.imag <= 0.0
+    assert kz == -0.5 * root
+    lossy = MaterialRecord("lossy", [28.0], [2.0], [1.5])
+    stack = LayerStack((Layer(AIR, 1.0),), incident=lossy)
+    assert math.isfinite(abs(layered_reflection(stack, 28.0, 40.0, POL_TE)))
 
 
 def test_reflection_input_validation():

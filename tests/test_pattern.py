@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from arraycov import pattern, patterncache
+from arraycov import cli, pattern, patterncache
 from arraycov.errors import ParseError
 from arraycov.grid import (
     SphericalGrid,
@@ -592,6 +592,33 @@ def test_reader_peak_memory(tmp_path):
     assert (tmp_path / ".patterns.csv.arraycov-cache").exists()
 
 
+def test_deembedded_load_peak_memory(tmp_path):
+    # the command line scales the gains it loaded in place, so a load with
+    # a loss table peaks where the read alone does; scaling a copy while
+    # the loaded set is alive peaked 0.07x the gains higher
+    pattern_set = random_set(1.0, 10.0, n_feeds=8)
+    loss_path = tmp_path / "losses.csv"
+    loss_path.write_text(
+        "feed,loss_db,window_halfwidth_deg\n"
+        + "".join(f"{feed},{0.75 * i - 2.0},60\n" for i, feed in enumerate(pattern_set.feeds))
+    )
+    peaks = []
+    for name, load in (
+        ("read.csv", load_pattern_csv),
+        ("deembedded.csv",
+         lambda path: cli._load_pattern_input({"pattern": str(path), "loss_table": str(loss_path)})),
+    ):
+        save_pattern_csv(pattern_set, tmp_path / name)
+        tracemalloc.start()
+        try:
+            loaded = load(tmp_path / name)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 0.02 * loaded.gains.nbytes
+    assert not loaded.gains.flags.writeable
+
+
 def _minimal_rows(label="a"):
     # full 90 x 180 lattice: both poles and four equator directions
     return [
@@ -801,6 +828,14 @@ def test_failed_load_leaves_no_cache_entry(tmp_path, fault):
     for _ in range(2):
         with pytest.raises(ParseError):
             load_pattern_csv(path)
+    assert not _cache_entry(path).exists()
+
+
+def test_unreadable_csv_has_no_key_and_leaves_no_entry(tmp_path):
+    path = tmp_path / "absent.csv"
+    assert patterncache._key(path) is None
+    with pytest.raises(FileNotFoundError):
+        load_pattern_csv(path)
     assert not _cache_entry(path).exists()
 
 
