@@ -119,7 +119,7 @@ def apply_losses(measured: ElementPatternSet, table: PortLossTable) -> ElementPa
     )
 
 
-def apply_losses_in_place(measured: ElementPatternSet, table: PortLossTable):
+def apply_losses_in_place(measured: ElementPatternSet, table: PortLossTable) -> ElementPatternSet:
     """apply_losses for a caller that holds the only reference to measured:
     its gains are scaled where they are, so no second copy is alive, and
     measured must not be used afterwards. Every factor is computed before

@@ -8,11 +8,11 @@ from arraycov.errors import ParseError
 from arraycov.grid import (
     Direction,
     SphericalGrid,
+    _uniform_ring_layout,
     detect_regular_steps,
     direction_keys,
     load_grid_csv,
     make_regular_grid,
-    _uniform_ring_layout,
     make_uniform_sphere_grid,
     regular_ring_structure,
     save_grid_csv,

@@ -602,12 +602,11 @@ def test_deembedded_load_peak_memory(tmp_path):
         "feed,loss_db,window_halfwidth_deg\n"
         + "".join(f"{feed},{0.75 * i - 2.0},60\n" for i, feed in enumerate(pattern_set.feeds))
     )
+    def deembedded(path):
+        return cli._load_pattern_input({"pattern": str(path), "loss_table": str(loss_path)})
+
     peaks = []
-    for name, load in (
-        ("read.csv", load_pattern_csv),
-        ("deembedded.csv",
-         lambda path: cli._load_pattern_input({"pattern": str(path), "loss_table": str(loss_path)})),
-    ):
+    for name, load in (("read.csv", load_pattern_csv), ("deembedded.csv", deembedded)):
         save_pattern_csv(pattern_set, tmp_path / name)
         tracemalloc.start()
         try:
