@@ -1,8 +1,8 @@
 """Batch command-line front end.
 
 One subcommand per pipeline stage (grid, deembed, synth, coverage,
-compare, reflect), all driven by a single JSON config file plus a few
-override flags. Outputs are deterministic: identical inputs and config
+compare, reflect), each driven by a single JSON config file, its only
+option. Outputs are deterministic: identical inputs and config
 produce byte-identical files, so runs can be diffed.
 
 Exit codes: 0 on success; EXIT_CODES maps each error to its code.
@@ -394,28 +394,13 @@ def cmd_reflect(config) -> int:
     return EXIT_OK
 
 
-# subcommand: (function, the override flags it reads)
 _COMMANDS = {
-    "grid": (cmd_grid, ("--grid-points",)),
-    "deembed": (cmd_deembed, ()),
-    "synth": (cmd_synth, ("--bits",)),
-    "coverage": (cmd_coverage, ("--bits", "--grid-points", "--levels")),
-    "compare": (cmd_compare, ("--levels",)),
-    "reflect": (cmd_reflect, ()),
-}
-
-
-def _parse_levels_flag(text):
-    try:
-        return [float(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad levels list {text!r}") from None
-
-
-_OVERRIDE_FLAGS = {
-    "--bits": (int, "override phase-shifter bit depth"),
-    "--grid-points": (int, "override: use a uniform-sphere grid with this target count"),
-    "--levels": (_parse_levels_flag, "override percentile levels, comma separated"),
+    "grid": cmd_grid,
+    "deembed": cmd_deembed,
+    "synth": cmd_synth,
+    "coverage": cmd_coverage,
+    "compare": cmd_compare,
+    "reflect": cmd_reflect,
 }
 
 
@@ -425,23 +410,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Phased-array spherical-coverage evaluation pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, flags) in _COMMANDS.items():
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON run configuration")
-        for flag in flags:
-            kind, text = _OVERRIDE_FLAGS[flag]
-            p.add_argument(flag, type=kind, help=text)
+    for name in _COMMANDS:
+        sub.add_parser(name).add_argument(
+            "--config", required=True, help="JSON run configuration"
+        )
     return parser
-
-
-def _apply_overrides(config, args):
-    if getattr(args, "bits", None) is not None:
-        config["plan"] = {**config_value(config, "plan", "object", {}), "bits": args.bits}
-    if getattr(args, "grid_points", None) is not None:
-        key = "grid" if args.command == "grid" else "coverage_grid"
-        config[key] = {"kind": "uniform-sphere", "points": args.grid_points}
-    if getattr(args, "levels", None) is not None:
-        config["levels"] = args.levels
 
 
 def main(argv=None) -> int:
@@ -456,9 +429,7 @@ def main(argv=None) -> int:
         atexit.register(gc.freeze)
     args = build_parser().parse_args(argv)
     try:
-        config = _load_config(args.config)
-        _apply_overrides(config, args)
-        return _COMMANDS[args.command][0](config)
+        return _COMMANDS[args.command](_load_config(args.config))
     except Exception as exc:
         for types, code, label in EXIT_CODES:
             if isinstance(exc, types):

@@ -46,9 +46,12 @@ class PortLossTable:
 
     def __init__(self, feeds, loss_db, window_halfwidth_deg):
         feeds = tuple(feeds)
+        # the finite values load_loss_csv reads back from save_loss_csv
         for feed in feeds:
-            if not math.isfinite(loss_db[feed]):
-                raise ValueError(f"loss for feed {feed} is not finite: {loss_db[feed]}")
+            for what, values in (("loss", loss_db), ("window half-width", window_halfwidth_deg)):
+                value = values.get(feed)
+                if value is None or not math.isfinite(value):
+                    raise ValueError(f"{what} for feed {feed} is missing or not finite: {value}")
         self.feeds, self.loss_db, self.window_halfwidth_deg = feeds, loss_db, window_halfwidth_deg
 
     def loss(self, feed) -> float:

@@ -22,6 +22,9 @@ FULL_SPHERE_SR = 4.0 * math.pi
 # relative tolerance on the full-sphere weight-sum closure
 _CLOSURE_RTOL = 1e-3
 
+# most directions a grid constructor builds (1 deg x 1 deg has 64442)
+MAX_GRID_DIRECTIONS = 10_000_000
+
 KIND_REGULAR = "regular"
 KIND_UNIFORM = "uniform-sphere"
 
@@ -156,9 +159,15 @@ def make_regular_grid(theta_step_deg, phi_step_deg) -> SphericalGrid:
     Rings sit at theta = 0, step, ..., 180; each non-pole ring carries
     360/phi_step samples. Ring solid-angle bands (half a step to either
     side, clipped at the poles) are split evenly among the ring samples.
+    Steps giving more than MAX_GRID_DIRECTIONS directions raise ValueError.
     """
     n_theta = _check_divides(theta_step_deg, 180.0, "theta_step_deg")
     n_phi = _check_divides(phi_step_deg, 360.0, "phi_step_deg")
+    if (n_theta - 1) * n_phi + 2 > MAX_GRID_DIRECTIONS:
+        raise ValueError(
+            f"theta_step_deg={theta_step_deg} and phi_step_deg={phi_step_deg} give "
+            f"more than {MAX_GRID_DIRECTIONS} directions"
+        )
     theta_step = 180.0 / n_theta
     phi_step = 360.0 / n_phi
 
@@ -208,12 +217,16 @@ def make_uniform_sphere_grid(target_count) -> SphericalGrid:
     max(1, round(n_eq * sin(theta))) azimuth samples; each sample gets an
     equal share of its ring's exact solid-angle band. The construction is
     deterministic and the realized count lands within a few samples of
-    target_count.
+    target_count, which may not exceed MAX_GRID_DIRECTIONS.
     """
     if not isinstance(target_count, (int, np.integer)):
         raise ValueError(f"target_count must be an integer, got {target_count!r}")
     if target_count < 6:
         raise ValueError(f"target_count must be >= 6, got {target_count}")
+    if target_count > MAX_GRID_DIRECTIONS:
+        raise ValueError(
+            f"target_count must be at most {MAX_GRID_DIRECTIONS}, got {target_count}"
+        )
     n_rings, n_eq = _uniform_ring_layout(int(target_count))
 
     thetas, phis, weights = [], [], []

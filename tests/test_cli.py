@@ -71,21 +71,6 @@ def test_grid_command(tmp_path):
     assert (out / "grid.csv").exists()
 
 
-def test_grid_points_override(tmp_path):
-    out = tmp_path / "out"
-    cfg = write_config(
-        tmp_path,
-        {
-            "grid": {"kind": "regular", "theta_step_deg": 30.0, "phi_step_deg": 90.0},
-            "output_dir": str(out),
-        },
-    )
-    assert main(["grid", "--config", cfg, "--grid-points", "80"]) == 0
-    meta = json.loads((out / "grid.json").read_text())
-    assert meta["kind"] == "uniform-sphere"
-    assert meta["points"] >= 80
-
-
 def test_deembed_command(tmp_path):
     losses = {"p1": 10.7, "p2": 10.4}
     sim = smooth_pattern(list(losses), seed=1)
@@ -255,6 +240,18 @@ def test_import_arraycov_loads_no_numpy():
     assert run_child(code) == ["False", "arraycov.coverage"]
 
 
+def test_every_public_name_resolves_to_its_module_object(monkeypatch):
+    # the README's `from arraycov import ...` goes through the lazy lookup
+    import arraycov
+
+    for name in arraycov.__all__:
+        monkeypatch.delitem(vars(arraycov), name, raising=False)
+        module = importlib.import_module(f"arraycov.{arraycov._MODULE_OF[name]}")
+        assert getattr(arraycov, name) is getattr(module, name), name
+    with pytest.raises(AttributeError, match="has no attribute 'absent'"):
+        arraycov.absent
+
+
 @pytest.mark.parametrize("preset", [None, *BLAS_THREAD_VARS])
 def test_cli_runs_one_blas_thread_unless_a_count_is_set(preset):
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
@@ -318,8 +315,8 @@ def test_coverage_grid_resample(tmp_path):
 
 def test_levels_override(tmp_path):
     out = tmp_path / "out"
-    cfg = coverage_config(tmp_path, out)
-    assert main(["coverage", "--config", cfg, "--levels", "0.2,0.8"]) == 0
+    cfg = coverage_config(tmp_path, out, extra={"levels": [0.2, 0.8]})
+    assert main(["coverage", "--config", cfg]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert set(summary["percentile_gain_db"]) == {"0.2", "0.8"}
 
@@ -621,11 +618,12 @@ def test_capacity_blowup_exits_2(tmp_path):
         tmp_path,
         out,
         feeds=tuple(feeds),
-        extra={"plan": {"bits": 3, "sub_arrays": [{"label": "s", "feeds": feeds}]}},
+        extra={"plan": {"bits": 6, "sub_arrays": [{"label": "s", "feeds": feeds}]}},
     )
     # 2^(6*4) weights blows past the enumeration cap
-    assert main(["synth", "--config", cfg, "--bits", "6"]) == 2
-    assert main(["coverage", "--config", cfg, "--bits", "6"]) == 2
+    assert main(["synth", "--config", cfg]) == 2
+    assert main(["coverage", "--config", cfg]) == 2
+    assert not out.exists()
 
 
 def test_bad_weighting_exits_2_before_the_kernel(tmp_path, monkeypatch, capsys):
@@ -727,19 +725,18 @@ def _loss_table_of_feed_a(tmp_path):
     return {"loss_table": str(path)}
 
 
-# id: (command, changes to its runnable config, extra arguments, what
-# stderr must name); None for changes writes a config whose root is a list
+# id: (command, changes to its runnable config, what stderr must name);
+# None for changes writes a config whose root is a list
 CONFIG_ERRORS = {
-    "root_not_object": ("grid", None, [], "config root"),
-    "empty_output_dir": ("grid", {"output_dir": ""}, [], "output_dir"),
-    "unknown_grid_kind": ("grid", {"grid": {"kind": "hexagonal"}}, [], "grid kind"),
-    "empty_levels": ("coverage", {"levels": []}, [], "levels"),
-    "level_out_of_range": ("coverage", {"levels": [0.5, 1.0]}, [], "levels"),
-    "empty_stack": ("reflect", {"stack": {"layers": []}}, [], "stack layers"),
+    "root_not_object": ("grid", None, "config root"),
+    "empty_output_dir": ("grid", {"output_dir": ""}, "output_dir"),
+    "unknown_grid_kind": ("grid", {"grid": {"kind": "hexagonal"}}, "grid kind"),
+    "empty_levels": ("coverage", {"levels": []}, "levels"),
+    "level_out_of_range": ("coverage", {"levels": [0.5, 1.0]}, "levels"),
+    "empty_stack": ("reflect", {"stack": {"layers": []}}, "stack layers"),
     "bad_stack_layer": (
         "reflect",
         {"stack": {"layers": [{"material": "ldpe_film", "thickness_mm": -1.0}]}},
-        [],
         "stack layer 0",
     ),
     "material_file_not_found": (
@@ -748,33 +745,34 @@ CONFIG_ERRORS = {
             "stack": {"layers": [{"material": {"path": str(tmp_path / "absent.csv")},
                                   "thickness_mm": 0.1}]}
         },
-        [],
         "stack layer 0: material file not found",
     ),
-    "empty_frequencies": ("reflect", {"frequencies_ghz": []}, [], "frequencies_ghz"),
+    "empty_frequencies": ("reflect", {"frequencies_ghz": []}, "frequencies_ghz"),
     "backward_sweep": (
         "reflect",
         {"frequencies_ghz": {"start": 30.0, "stop": 26.0, "step": 1.0}},
-        [],
         "frequencies_ghz",
     ),
-    "loss_table_misses_a_feed": ("coverage", _loss_table_of_feed_a, [], "loss_table"),
-    "no_beam_window": ("deembed", {"windows": {}}, [], "feed 'f0'"),
+    "loss_table_misses_a_feed": ("coverage", _loss_table_of_feed_a, "loss_table"),
+    "no_beam_window": ("deembed", {"windows": {}}, "feed 'f0'"),
     "cut_on_uniform_grid": (
         "coverage",
         {"coverage_grid": {"kind": "uniform-sphere", "points": 40}, "cut_thetas_deg": [90]},
-        [],
         "cut_thetas_deg",
     ),
-    "cut_theta_without_ring": ("coverage", {"cut_thetas_deg": [45]}, [], "cut_thetas_deg"),
-    "malformed_levels_flag": ("coverage", {}, ["--levels", "0.5,x"], "--levels"),
+    "cut_theta_without_ring": ("coverage", {"cut_thetas_deg": [45]}, "cut_thetas_deg"),
+    "grid_over_the_cap": (
+        "grid",
+        {"grid": {"kind": "uniform-sphere", "points": 10**18}},
+        "target_count must be at most",
+    ),
 }
 
 
 @pytest.mark.parametrize(
-    "command, changes, argv, named", list(CONFIG_ERRORS.values()), ids=list(CONFIG_ERRORS)
+    "command, changes, named", list(CONFIG_ERRORS.values()), ids=list(CONFIG_ERRORS)
 )
-def test_config_error_exits_2_naming_the_key(tmp_path, capsys, command, changes, argv, named):
+def test_config_error_exits_2_naming_the_key(tmp_path, capsys, command, changes, named):
     out = tmp_path / "out"
     config = {**runnable_config(tmp_path, command), "output_dir": str(out)}
     cfg_ok = write_config(tmp_path, {**config, "output_dir": str(tmp_path / "ok")}, "ok.json")
@@ -784,11 +782,7 @@ def test_config_error_exits_2_naming_the_key(tmp_path, capsys, command, changes,
     else:
         config.update(changes(tmp_path) if callable(changes) else changes)
     cfg = write_config(tmp_path, config)
-    try:
-        code = main([command, "--config", cfg, *argv])
-    except SystemExit as exc:  # argparse rejects a malformed flag
-        code = exc.code
-    assert code == 2
+    assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
     assert not out.exists()
@@ -835,8 +829,8 @@ def test_coverage_run_loads_no_numpy_ma(tmp_path, extra):
 
 @pytest.mark.parametrize(
     "command, flag, value",
-    [("reflect", "--bits", "3"), ("grid", "--levels", "0.5"),
-     ("compare", "--grid-points", "40"), ("deembed", "--bits", "2")],
+    [(command, flag, value) for command in cli._COMMANDS
+     for flag, value in (("--bits", "3"), ("--grid-points", "40"), ("--levels", "0.5"))],
 )
 def test_override_flag_a_subcommand_does_not_read_exits_2(
     tmp_path, capsys, command, flag, value

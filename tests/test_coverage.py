@@ -452,6 +452,9 @@ def test_coverage_result_validation():
         CoverageResult(np.array([0.5, 1.0]), np.array([0.5, 0.9]))
     with pytest.raises(ValueError):
         CoverageResult(np.array([0.5, 1.0]), np.array([0.9, 0.5]))
+    for gain_db, cdf in (([0.5, 1.0], [1.0]), ([], []), ([[0.5, 1.0]], [[0.5, 1.0]])):
+        with pytest.raises(ValueError, match="equal-length 1-D"):
+            CoverageResult(np.array(gain_db), np.array(cdf))
 
 
 def test_gainmap_validation():
@@ -465,3 +468,5 @@ def test_gainmap_validation():
     bad[0] = math.inf
     with pytest.raises(ValueError):
         GainMap(grid, bad)
+    with pytest.raises(ValueError, match="best_index does not match"):
+        GainMap(grid, np.ones(len(grid)), np.zeros(len(grid) + 1, dtype=np.int64))

@@ -243,6 +243,22 @@ def test_loss_csv_errors(tmp_path):
         assert (err.value.path, err.value.row) == (path, 3)
 
 
+@pytest.mark.parametrize(
+    "loss_db, halfwidth_deg, named",
+    [
+        ({}, {"1V": 60.0}, "loss for feed 1V is missing"),
+        ({"1V": 1.0}, {"1V": math.nan}, "window half-width for feed 1V"),
+        ({"1V": 1.0}, {}, "window half-width for feed 1V is missing"),
+    ],
+    ids=["no_loss", "nan_halfwidth", "no_halfwidth"],
+)
+def test_table_rejects_what_the_reader_rejects(loss_db, halfwidth_deg, named):
+    # every table the constructor accepts, save_loss_csv can write and
+    # load_loss_csv reads back
+    with pytest.raises(ValueError, match=named):
+        PortLossTable(("1V",), loss_db, halfwidth_deg)
+
+
 def test_table_validation():
     with pytest.raises(ValueError):
         PortLossTable(("1V",), {"1V": math.inf}, {"1V": 60.0})

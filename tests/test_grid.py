@@ -6,6 +6,7 @@ import pytest
 
 from arraycov.errors import ParseError
 from arraycov.grid import (
+    MAX_GRID_DIRECTIONS,
     Direction,
     SphericalGrid,
     _uniform_ring_layout,
@@ -30,7 +31,16 @@ def test_direction_normalizes_phi():
 
 def test_direction_pole_collapses_phi():
     assert Direction(0.0, 123.0) == Direction(0.0, 0.0)
+    assert hash(Direction(0.0, 123.0)) == hash(Direction(0.0, 0.0))
+    assert len({Direction(180.0, 10.0), Direction(180.0, 350.0)}) == 1
     assert Direction(180.0, 45.0).phi_deg == 0.0
+
+
+def test_direction_equals_only_directions():
+    d = Direction(45.0, 10.0)
+    assert d.__eq__((45.0, 10.0)) is NotImplemented
+    assert d != (45.0, 10.0)
+    assert d != Direction(45.0, 20.0)
 
 
 def test_direction_rejects_bad_theta():
@@ -122,6 +132,18 @@ def test_regular_grid_rejects_non_dividing_steps():
         make_regular_grid(0.0, 10.0)
     with pytest.raises(ValueError):
         make_regular_grid(-1.0, 10.0)
+
+
+def test_grids_above_the_direction_cap_are_rejected():
+    # each step divides its span exactly; the count alone is too large
+    fine = 180.0 / 2**24
+    with pytest.raises(ValueError, match="theta_step_deg=.* more than 10000000 directions"):
+        make_regular_grid(fine, 10.0)
+    with pytest.raises(ValueError, match="phi_step_deg=.* more than 10000000 directions"):
+        make_regular_grid(90.0, 2 * fine)
+    for target in (MAX_GRID_DIRECTIONS + 1, 10**18):
+        with pytest.raises(ValueError, match=f"target_count must be at most .*{target}"):
+            make_uniform_sphere_grid(target)
 
 
 def test_uniform_grid_count_and_closure():
@@ -271,6 +293,20 @@ def test_regular_grid_bit_identical_to_ring_loop(steps):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize(
+    "theta, phi, weight, message",
+    [
+        ([10.0, 20.0], [0.0], [1.0, 1.0], "1-D and equally sized"),
+        ([[10.0, 20.0]], [[0.0, 0.0]], [[1.0, 1.0]], "1-D and equally sized"),
+        ([], [], [], "no directions"),
+    ],
+    ids=["unequal", "two_dimensional", "empty"],
+)
+def test_grid_array_shapes_rejected(theta, phi, weight, message):
+    with pytest.raises(ValueError, match=message):
+        SphericalGrid(np.array(theta), np.array(phi), np.array(weight), kind="uniform-sphere")
+
+
 def test_nonpositive_weights_rejected():
     with pytest.raises(ValueError):
         SphericalGrid(
@@ -321,6 +357,8 @@ def test_ring_structure():
     assert [len(r) for r in rings] == [1, 4, 4, 4, 1]
     ring = rings[1]
     np.testing.assert_array_equal(grid.phi_deg[ring], [0.0, 90.0, 180.0, 270.0])
+    with pytest.raises(ValueError, match="requires a regular grid"):
+        regular_ring_structure(make_uniform_sphere_grid(100))
 
 
 def test_csv_round_trip_regular(tmp_path):
