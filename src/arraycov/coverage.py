@@ -79,9 +79,9 @@ class CoverageResult:
     coverage CDF P(G < x) is evaluated by cdf_at.
     """
 
-    __slots__ = ("gain_db", "cdf", "weighting")
+    __slots__ = ("gain_db", "cdf")
 
-    def __init__(self, gain_db, cdf, weighting=WEIGHTING_SOLID_ANGLE):
+    def __init__(self, gain_db, cdf):
         g = np.ascontiguousarray(gain_db, dtype=np.float64)
         c = np.ascontiguousarray(cdf, dtype=np.float64)
         if g.ndim != 1 or g.shape != c.shape or g.size == 0:
@@ -92,7 +92,7 @@ class CoverageResult:
             raise ValueError("cdf must increase to 1")
         for arr in (g, c):
             arr.flags.writeable = False
-        self.gain_db, self.cdf, self.weighting = g, c, weighting
+        self.gain_db, self.cdf = g, c
 
     def cdf_at(self, x_db) -> float:
         """Strict empirical CDF P(G < x)."""
@@ -132,7 +132,7 @@ def coverage_cdf(gain_map: GainMap, weighting=WEIGHTING_SOLID_ANGLE) -> Coverage
     w_agg = np.add.reduceat(w_sorted, start)
     cum = np.cumsum(w_agg)
     cum /= cum[-1]
-    return CoverageResult(uniq, cum, weighting=weighting)
+    return CoverageResult(uniq, cum)
 
 
 def percentile_gain(result: CoverageResult, p) -> float:

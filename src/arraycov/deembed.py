@@ -117,9 +117,7 @@ def apply_losses(measured: ElementPatternSet, table: PortLossTable) -> ElementPa
     feed f moves up by exactly loss_f dB.
     """
     gains = measured.gains * _factors(measured, table)
-    return ElementPatternSet(
-        measured.grid, measured.feeds, gains, measured.frequency_ghz, measured.convention
-    )
+    return ElementPatternSet(measured.grid, measured.feeds, gains)
 
 
 def apply_losses_in_place(measured: ElementPatternSet, table: PortLossTable) -> ElementPatternSet:
@@ -131,9 +129,7 @@ def apply_losses_in_place(measured: ElementPatternSet, table: PortLossTable) -> 
     gains = measured.gains
     gains.flags.writeable = True
     np.multiply(gains, factors, out=gains)  # the multiply apply_losses runs
-    return ElementPatternSet(
-        measured.grid, measured.feeds, gains, measured.frequency_ghz, measured.convention
-    )
+    return ElementPatternSet(measured.grid, measured.feeds, gains)
 
 
 LOSS_CSV_HEADER = ["feed", "loss_db", "window_halfwidth_deg"]

@@ -148,9 +148,17 @@ def _check_divides(step, span, name):
     if not (step > 0.0) or not math.isfinite(step):
         raise ValueError(f"{name} must be positive, got {step}")
     n = span / step
+    if not math.isfinite(n):
+        raise ValueError(f"{name}={step} is too small to divide {span}")
     if abs(n - round(n)) > 1e-9 or round(n) < 1:
         raise ValueError(f"{name}={step} does not divide {span}")
     return int(round(n))
+
+
+def _ring_positions(ring_sizes):
+    """Each direction's position within its ring, rings laid end to end."""
+    sizes = np.asarray(ring_sizes)
+    return np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
 
 
 def make_regular_grid(theta_step_deg, phi_step_deg) -> SphericalGrid:
@@ -183,11 +191,9 @@ def make_regular_grid(theta_step_deg, phi_step_deg) -> SphericalGrid:
         ring_thetas.append(theta)
         ring_sizes.append(size)
         ring_weights.append(_band_solid_angle(lo, hi) / size)
-    ring_start = np.cumsum(ring_sizes) - ring_sizes
-    phi_index = np.arange(sum(ring_sizes)) - np.repeat(ring_start, ring_sizes)
     return SphericalGrid(
         np.repeat(ring_thetas, ring_sizes),
-        phi_index * phi_step,
+        _ring_positions(ring_sizes) * phi_step,
         np.repeat(ring_weights, ring_sizes),
         kind=KIND_REGULAR,
         theta_step_deg=theta_step,
@@ -229,18 +235,19 @@ def make_uniform_sphere_grid(target_count) -> SphericalGrid:
         )
     n_rings, n_eq = _uniform_ring_layout(int(target_count))
 
-    thetas, phis, weights = [], [], []
     ring_step = 180.0 / n_rings
+    ring_thetas, ring_sizes, ring_weights = [], [], []
     for r in range(n_rings):
         theta = (r + 0.5) * ring_step
-        band = _band_solid_angle(r * ring_step, (r + 1) * ring_step)
-        n_az = max(1, round(n_eq * math.sin(math.radians(theta))))
-        for k in range(n_az):
-            thetas.append(theta)
-            phis.append(k * 360.0 / n_az)
-            weights.append(band / n_az)
+        size = max(1, round(n_eq * math.sin(math.radians(theta))))
+        ring_thetas.append(theta)
+        ring_sizes.append(size)
+        ring_weights.append(_band_solid_angle(r * ring_step, (r + 1) * ring_step) / size)
     return SphericalGrid(
-        np.array(thetas), np.array(phis), np.array(weights), kind=KIND_UNIFORM
+        np.repeat(ring_thetas, ring_sizes),
+        _ring_positions(ring_sizes) * 360.0 / np.repeat(ring_sizes, ring_sizes),
+        np.repeat(ring_weights, ring_sizes),
+        kind=KIND_UNIFORM,
     )
 
 

@@ -1,4 +1,4 @@
-"""Small I/O helpers: CSV and JSON readers and writers, typed config values."""
+"""Small I/O helpers: CSV readers and writers, a JSON writer, typed config values."""
 
 import csv
 import io
@@ -144,15 +144,6 @@ def float_table(path, header, finite=False):
     if not rows:
         raise ParseError("no entries", path=path)
     return np.array(rows).T
-
-
-def read_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except ValueError as exc:
-        # JSONDecodeError, UnicodeDecodeError, or an int over the digit limit
-        raise ParseError(f"invalid JSON: {exc}", path=path) from exc
 
 
 def _is_int(value) -> bool:

@@ -7,8 +7,6 @@ array synthesis sums fields coherently and is linear in them.
 
 import csv
 import itertools
-import os
-import sys
 
 import numpy as np
 
@@ -21,17 +19,7 @@ from .grid import (
     make_regular_grid,
     regular_ring_structure,
 )
-from .ioutil import (
-    check_header,
-    parse_floats,
-    read_json,
-    table_rows,
-    write_csv,
-    write_json,
-)
-
-DEFAULT_FREQUENCY_GHZ = 28.0
-DEFAULT_CONVENTION = "realized-gain-embedded"
+from .ioutil import check_header, parse_floats, table_rows, write_csv
 
 PATTERN_CSV_HEADER = [
     "feed",
@@ -54,10 +42,9 @@ class ElementPatternSet:
     theta polarization and component 1 the phi polarization.
     """
 
-    __slots__ = ("grid", "feeds", "gains", "frequency_ghz", "convention")
+    __slots__ = ("grid", "feeds", "gains")
 
-    def __init__(self, grid, feeds, gains, frequency_ghz=DEFAULT_FREQUENCY_GHZ,
-                 convention=DEFAULT_CONVENTION):
+    def __init__(self, grid, feeds, gains):
         feeds = tuple(str(f) for f in feeds)
         if len(set(feeds)) != len(feeds) or not feeds:
             raise ValueError("feed labels must be unique and non-empty")
@@ -71,7 +58,6 @@ class ElementPatternSet:
             raise ValueError("pattern samples must be finite")
         gains.flags.writeable = False
         self.grid, self.feeds, self.gains = grid, feeds, gains
-        self.frequency_ghz, self.convention = frequency_ghz, convention
 
     def feed_index(self, feed) -> int:
         try:
@@ -83,11 +69,6 @@ class ElementPatternSet:
         """Linear power gain |g_theta|^2 + |g_phi|^2 for every direction."""
         g = self.gains[self.feed_index(feed)]
         return np.abs(g[:, 0]) ** 2 + np.abs(g[:, 1]) ** 2
-
-
-def sidecar_path(csv_path) -> str:
-    root, _ = os.path.splitext(os.fspath(csv_path))
-    return root + ".json"
 
 
 def _parse_pattern_rows(path):
@@ -328,35 +309,15 @@ def _parse_pattern_csv(path):
     return feeds, grid, samples.view(np.complex128).reshape(len(feeds), -1, 2)
 
 
-def _metadata(path):
-    """frequency_ghz and convention from the pattern CSV's sidecar, if any."""
-    frequency = DEFAULT_FREQUENCY_GHZ
-    convention = DEFAULT_CONVENTION
-    meta_path = sidecar_path(path)
-    if os.path.exists(meta_path):
-        meta = read_json(meta_path)
-        if not isinstance(meta, dict):
-            raise ParseError("sidecar root must be a JSON object", path=meta_path)
-        frequency = meta.get("frequency_ghz", frequency)
-        # bool is an int; nan, infinities and ints beyond any float fail the bound
-        if type(frequency) not in (int, float) or not abs(frequency) <= sys.float_info.max:
-            raise ParseError(
-                f"frequency_ghz must be a finite number, got {frequency!r}", path=meta_path
-            )
-        convention = str(meta.get("convention", convention))
-    return {"frequency_ghz": float(frequency), "convention": convention}
-
-
 def load_pattern_csv(path) -> ElementPatternSet:
-    """Read a pattern CSV (plus optional JSON sidecar for metadata).
+    """Read a pattern CSV.
 
     Directions must form the full regular theta/phi lattice, identical
     across feeds; rows may appear in any order. Repeated pole rows
     (theta 0 or 180 at several phi) collapse to the single stored pole
     sample and must agree within 1e-7.
 
-    A CSV loaded before is not parsed again (see patterncache); the
-    sidecar is read every time.
+    A CSV loaded before is not parsed again (see patterncache).
     """
     from . import patterncache
 
@@ -382,20 +343,13 @@ def pattern_csv_columns(labels, grid, fields):
 
 
 def save_pattern_csv(pattern_set: ElementPatternSet, path) -> None:
-    """Write the pattern CSV and its JSON metadata sidecar.
+    """Write the pattern CSV.
 
     Floats go through shortest-round-trip formatting, so load after
     save reproduces every complex sample bit-exactly.
     """
     columns = pattern_csv_columns(pattern_set.feeds, pattern_set.grid, pattern_set.gains)
     write_csv(path, PATTERN_CSV_HEADER, columns)
-    write_json(
-        sidecar_path(path),
-        {
-            "frequency_ghz": pattern_set.frequency_ghz,
-            "convention": pattern_set.convention,
-        },
-    )
 
 
 def _ring_index(grid: SphericalGrid):
@@ -418,9 +372,9 @@ def resample(pattern_set: ElementPatternSet, target: SphericalGrid) -> ElementPa
     src = pattern_set.grid
     if not src.is_regular:
         raise ValueError("resample requires a regular source grid")
-    feeds, meta = pattern_set.feeds, (pattern_set.frequency_ghz, pattern_set.convention)
+    feeds = pattern_set.feeds
     if target.same_directions(src):
-        return ElementPatternSet(target, feeds, pattern_set.gains, *meta)
+        return ElementPatternSet(target, feeds, pattern_set.gains)
 
     index = _ring_index(src)
     t_step = src.theta_step_deg
@@ -448,4 +402,4 @@ def resample(pattern_set: ElementPatternSet, target: SphericalGrid) -> ElementPa
         + v10 * wt * (1.0 - wp)
         + v11 * wt * wp
     )
-    return ElementPatternSet(target, feeds, gains, *meta)
+    return ElementPatternSet(target, feeds, gains)

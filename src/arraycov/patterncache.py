@@ -107,11 +107,11 @@ def load(path) -> "pattern.ElementPatternSet":
         try:
             # ElementPatternSet checks what the parse ends in: labels,
             # shape and finite samples
-            return pattern.ElementPatternSet(*entry, **pattern._metadata(path))
+            return pattern.ElementPatternSet(*entry)
         except (ValueError, TypeError):
             pass  # a malformed entry is parsed over, as a missing one
     feeds, grid, gains = pattern._parse_pattern_csv(path)
-    pattern_set = pattern.ElementPatternSet(grid, feeds, gains, **pattern._metadata(path))
+    pattern_set = pattern.ElementPatternSet(grid, feeds, gains)
     # an entry of the bytes that were parsed, never of an error
     if key is not None and _key(path) == key:
         _write_entry(path, key, pattern_set)

@@ -516,7 +516,7 @@ def test_non_numeric_pattern_cell_exits_3_naming_row(tmp_path, capsys):
     assert "row 5" in err
 
 
-def test_non_utf8_pattern_or_sidecar_exits_3(tmp_path, capsys):
+def test_non_utf8_pattern_exits_3(tmp_path, capsys):
     path = tmp_path / "pattern.csv"
     save_pattern_csv(smooth_pattern(["f0"], seed=3), path)
     lines = path.read_bytes().split(b"\n")
@@ -536,12 +536,6 @@ def test_non_utf8_pattern_or_sidecar_exits_3(tmp_path, capsys):
     assert "parse error: not utf-8 text" in err
     assert "row 6" in err
     assert not out.exists()
-
-    save_pattern_csv(smooth_pattern(["f0"], seed=3), path)
-    sidecar = path.with_suffix(".json")
-    sidecar.write_bytes(sidecar.read_bytes().replace(b"28", b"\xff", 1))
-    assert main(["coverage", "--config", cfg]) == 3
-    assert "parse error: invalid JSON" in capsys.readouterr().err
 
 
 def test_infinite_loss_exits_3_naming_the_loss_table(tmp_path, capsys):
@@ -761,6 +755,11 @@ CONFIG_ERRORS = {
         "cut_thetas_deg",
     ),
     "cut_theta_without_ring": ("coverage", {"cut_thetas_deg": [45]}, "cut_thetas_deg"),
+    "overflowing_step": (
+        "grid",
+        {"grid": {"kind": "regular", "theta_step_deg": 1e-308, "phi_step_deg": 10}},
+        "theta_step_deg",
+    ),
     "grid_over_the_cap": (
         "grid",
         {"grid": {"kind": "uniform-sphere", "points": 10**18}},
@@ -827,6 +826,41 @@ def test_coverage_run_loads_no_numpy_ma(tmp_path, extra):
     assert run_child(code) == ["0", "False"]
 
 
+def test_coverage_run_opens_only_the_files_its_config_names(tmp_path):
+    loss_path = tmp_path / "losses.csv"
+    loss_path.write_text("feed,loss_db,window_halfwidth_deg\nf0,2.5,60\nf1,-1.25,60\n")
+    out = tmp_path / "out"
+    cfg = coverage_config(tmp_path, out, extra={"loss_table": str(loss_path)})
+    (tmp_path / "elements.json").write_text('{"frequency_ghz": 28.0}')
+    code = (
+        "import json, os, sys\n"
+        "opened = []\n"
+        "def audit(event, args):\n"
+        "    if event == 'open' and isinstance(args[0], (str, bytes, os.PathLike)):\n"
+        "        opened.append(os.path.abspath(os.fsdecode(args[0])))\n"
+        "sys.addaudithook(audit)\n"
+        "from arraycov.cli import main\n"
+        f"status = main(['coverage', '--config', {cfg!r}])\n"
+        "print(json.dumps([status, os.getpid(), opened]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    status, pid, opened = json.loads(proc.stdout)
+    assert status == 0
+    inside = {
+        os.path.relpath(p, tmp_path) for p in opened if p.startswith(str(tmp_path) + os.sep)
+    }
+    outputs = {os.path.join("out", name) for name in os.listdir(out)}
+    assert inside == {
+        "config.json",
+        "elements.csv",
+        "losses.csv",
+        PATTERN_CACHE,
+        f"{PATTERN_CACHE}.{pid}",
+        *outputs,
+    }
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [(command, flag, value) for command in cli._COMMANDS
@@ -872,24 +906,25 @@ def test_unusable_output_dir_exits_2(tmp_path, capsys, under):
 
 
 @pytest.mark.parametrize(
-    "sidecar",
+    "payload",
     [
         '{"frequency_ghz": null}',
         "[1, 2]",
         '{"frequency_ghz": "abc"}',
         '{"frequency_ghz": 1e999}',
         '{"frequency_ghz": ' + "9" * 5000 + "}",
+        '{"frequency_ghz": 39.0, "convention": "realized-gain-embedded"}',
     ],
-    ids=["null", "array", "string", "infinite", "int_over_digit_limit"],
+    ids=["null", "array", "string", "infinite", "int_over_digit_limit", "valid"],
 )
-def test_malformed_pattern_sidecar_exits_3(tmp_path, capsys, sidecar):
-    out = tmp_path / "out"
-    cfg = coverage_config(tmp_path, out)
-    (tmp_path / "elements.json").write_text(sidecar)
-    assert main(["coverage", "--config", cfg]) == 3
-    err = capsys.readouterr().err
-    assert "parse error" in err and str(tmp_path / "elements.json") in err
-    assert not out.exists()
+def test_json_beside_the_pattern_is_not_read(tmp_path, payload):
+    # <stem>.json beside a pattern CSV is no input: no config key names it
+    cfg = coverage_config(tmp_path, tmp_path / "out")
+    plain = run_coverage(cfg)
+    (tmp_path / "elements.json").write_text(payload)
+    assert run_coverage(cfg) == plain
+    (tmp_path / PATTERN_CACHE).unlink()
+    assert run_coverage(cfg) == plain
 
 
 def test_module_entry_point(tmp_path):
@@ -1021,15 +1056,6 @@ def test_pattern_edit_is_parsed_again(tmp_path, count_parses):
     assert parses == [str(csv_path)]
 
 
-def test_pattern_sidecar_is_read_on_a_cache_hit(tmp_path, forbid_parse, capsys):
-    cfg = coverage_config(tmp_path, tmp_path / "out")
-    run_coverage(cfg)
-    (tmp_path / "elements.json").write_text('{"frequency_ghz": "abc"}')
-    forbid_parse()
-    assert main(["coverage", "--config", cfg]) == 3
-    assert "frequency_ghz must be a finite number" in capsys.readouterr().err
-
-
 def _damaged_entry(tmp_path, good, damage):
     header, payload = good.split(b"\n", 1)
     if damage == "truncated":
@@ -1038,6 +1064,11 @@ def _damaged_entry(tmp_path, good, damage):
         return header + b"\n"
     if damage == "garbage_header":
         return b"\xff not a header\n" + payload
+    if damage == "overflowing_steps":
+        # the right key over steps whose lattice cannot be counted
+        fields = json.loads(header)
+        fields["steps"] = [1e-320, 90.0]
+        return json.dumps(fields).encode() + b"\n" + payload
     if damage == "foreign_key":
         # the entry of another pattern file
         other = tmp_path / "other"
@@ -1054,7 +1085,15 @@ def _damaged_entry(tmp_path, good, damage):
 
 @pytest.mark.parametrize(
     "damage",
-    ["truncated", "header_only", "garbage_header", "foreign_key", "wrong_shape", "wrong_dtype"],
+    [
+        "truncated",
+        "header_only",
+        "garbage_header",
+        "overflowing_steps",
+        "foreign_key",
+        "wrong_shape",
+        "wrong_dtype",
+    ],
 )
 def test_bad_pattern_cache_entry_is_a_miss(tmp_path, count_parses, damage):
     cfg = coverage_config(tmp_path, tmp_path / "out")

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from arraycov.grid import (
     MAX_GRID_DIRECTIONS,
     Direction,
     SphericalGrid,
+    _band_solid_angle,
     _uniform_ring_layout,
     detect_regular_steps,
     direction_keys,
@@ -141,6 +143,11 @@ def test_grids_above_the_direction_cap_are_rejected():
         make_regular_grid(fine, 10.0)
     with pytest.raises(ValueError, match="phi_step_deg=.* more than 10000000 directions"):
         make_regular_grid(90.0, 2 * fine)
+    # a step so small that span / step overflows to infinity
+    with pytest.raises(ValueError, match="theta_step_deg=1e-308 is too small"):
+        make_regular_grid(1e-308, 10.0)
+    with pytest.raises(ValueError, match="phi_step_deg=1e-320 is too small"):
+        make_regular_grid(90.0, 1e-320)
     for target in (MAX_GRID_DIRECTIONS + 1, 10**18):
         with pytest.raises(ValueError, match=f"target_count must be at most .*{target}"):
             make_uniform_sphere_grid(target)
@@ -200,6 +207,43 @@ def _reference_ring_layout(target_count):
 def test_uniform_ring_layout_matches_candidate_loop():
     for target in [*range(6, 3001), 6446, 64442]:
         assert _uniform_ring_layout(target) == _reference_ring_layout(target), target
+
+
+def _direction_loop_uniform_grid(target_count):
+    # the construction one direction at a time, as Python floats
+    n_rings, n_eq = _uniform_ring_layout(target_count)
+    thetas, phis, weights = [], [], []
+    ring_step = 180.0 / n_rings
+    for r in range(n_rings):
+        theta = (r + 0.5) * ring_step
+        band = _band_solid_angle(r * ring_step, (r + 1) * ring_step)
+        n_az = max(1, round(n_eq * math.sin(math.radians(theta))))
+        for k in range(n_az):
+            thetas.append(theta)
+            phis.append(k * 360.0 / n_az)
+            weights.append(band / n_az)
+    return np.array(thetas), np.array(phis), np.array(weights)
+
+
+def test_uniform_grid_bit_identical_to_direction_loop():
+    for target in [*range(6, 3001), 6446, 64442]:
+        grid = make_uniform_sphere_grid(target)
+        for got, want in zip(
+            (grid.theta_deg, grid.phi_deg, grid.weight_sr), _direction_loop_uniform_grid(target)
+        ):
+            assert got.tobytes() == want.tobytes(), target
+
+
+def test_uniform_grid_peak_memory_per_direction():
+    make_uniform_sphere_grid(1000)  # numpy's first-call allocations stay out
+    tracemalloc.start()
+    try:
+        grid = make_uniform_sphere_grid(400_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the three float64 arrays kept are 24 B of it
+    assert peak / len(grid) < 100
 
 
 def test_uniform_grid_rejects_tiny_targets():

@@ -1,5 +1,4 @@
 import cmath
-import json
 import math
 import os
 import random
@@ -30,7 +29,6 @@ from arraycov.pattern import (
     load_pattern_csv,
     resample,
     save_pattern_csv,
-    sidecar_path,
 )
 
 
@@ -52,8 +50,6 @@ def test_round_trip_bit_exact(tmp_path):
     assert loaded.grid.same_directions(original.grid)
     np.testing.assert_array_equal(loaded.gains, original.gains)
     assert np.abs(loaded.gains - original.gains).max() < 1e-7
-    assert loaded.frequency_ghz == original.frequency_ghz
-    assert loaded.convention == original.convention
 
 
 def test_save_twice_byte_identical(tmp_path):
@@ -65,27 +61,13 @@ def test_save_twice_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_sidecar_metadata(tmp_path):
-    original = random_set()
+def test_save_and_load_leave_a_json_beside_the_csv(tmp_path):
+    beside = tmp_path / "patterns.json"
+    beside.write_bytes(b"not JSON \xff")
     path = tmp_path / "patterns.csv"
-    save_pattern_csv(original, path)
-    meta = json.loads((tmp_path / "patterns.json").read_text())
-    assert meta == {"frequency_ghz": 28.0, "convention": "realized-gain-embedded"}
-    # defaults apply when the sidecar is absent
-    os.remove(sidecar_path(path))
-    loaded = load_pattern_csv(path)
-    assert loaded.frequency_ghz == 28.0
-    assert loaded.convention == "realized-gain-embedded"
-
-
-def test_sidecar_overrides(tmp_path):
-    original = random_set()
-    path = tmp_path / "patterns.csv"
-    save_pattern_csv(original, path)
-    (tmp_path / "patterns.json").write_text(
-        '{"frequency_ghz": 39.0, "convention": "realized-gain-embedded"}'
-    )
-    assert load_pattern_csv(path).frequency_ghz == 39.0
+    save_pattern_csv(random_set(), path)
+    load_pattern_csv(path)
+    assert beside.read_bytes() == b"not JSON \xff"
 
 
 def test_row_order_independent(tmp_path):
@@ -761,18 +743,6 @@ def test_cache_hit_is_the_parsed_set(tmp_path, forbid_parse):
     )
     assert hit.gains.tobytes() == saved.gains.tobytes()
     assert not hit.gains.flags.writeable
-    assert (hit.frequency_ghz, hit.convention) == (saved.frequency_ghz, saved.convention)
-
-
-def test_cache_hit_reads_the_sidecar(tmp_path, forbid_parse):
-    path = _cached_file(tmp_path)
-    forbid_parse()
-    (tmp_path / "patterns.json").write_text('{"frequency_ghz": 39.0, "convention": "x"}')
-    hit = load_pattern_csv(path)
-    assert (hit.frequency_ghz, hit.convention) == (39.0, "x")
-    (tmp_path / "patterns.json").write_text('{"frequency_ghz": "abc"}')
-    with pytest.raises(ParseError, match="frequency_ghz must be a finite number"):
-        load_pattern_csv(path)
 
 
 def test_cache_entry_of_another_numpy_is_a_miss(tmp_path, monkeypatch, count_parses):
@@ -813,17 +783,17 @@ def test_interrupted_cache_write_leaves_no_file(tmp_path, monkeypatch):
     monkeypatch.setattr(np, "save", interrupt)
     with pytest.raises(KeyboardInterrupt):
         load_pattern_csv(path)
-    assert sorted(os.listdir(tmp_path)) == ["patterns.csv", "patterns.json"]
+    assert sorted(os.listdir(tmp_path)) == ["patterns.csv"]
 
 
-@pytest.mark.parametrize("fault", ["csv", "sidecar"])
+@pytest.mark.parametrize("fault", ["csv", "lattice"])
 def test_failed_load_leaves_no_cache_entry(tmp_path, fault):
     rows = _minimal_rows()
     if fault == "csv":
         rows[1] = "a,90.0,0.0,nan,0.5,0.0,-1.0"
+    else:
+        del rows[-1]  # every row reads; the south pole is missing
     path = _write_rows(tmp_path, rows)
-    if fault == "sidecar":
-        (tmp_path / "patterns.json").write_text("[1, 2]")
     for _ in range(2):
         with pytest.raises(ParseError):
             load_pattern_csv(path)
