@@ -40,7 +40,6 @@ from .grid import (
     save_grid_csv,
 )
 from .ioutil import config_value, format_float, write_csv, write_json
-from .kernels import synthesize_fields
 
 EXIT_OK = 0
 
@@ -99,7 +98,10 @@ def _build_grid(config, key):
             config_value(spec, "phi_step_deg", "number"),
         )
     if kind == "uniform-sphere":
-        return make_uniform_sphere_grid(config_value(spec, "points", "int"))
+        try:
+            return make_uniform_sphere_grid(config_value(spec, "points", "int"))
+        except ValueError as exc:
+            raise ConfigError(f"{key} points: {exc}") from exc
     raise ConfigError(f"unknown {key} kind {kind!r}")
 
 
@@ -126,9 +128,14 @@ def _windows(config, feeds):
         phi = config_value(entry, "center_phi_deg", "number", 0.0)
         half_width = config_value(entry, "half_width_deg", "number", default_hw)
         try:
-            windows[feed] = deembed.BeamWindow(Direction(theta, phi), half_width)
+            center = Direction(theta, phi)
         except ValueError as exc:
             raise ConfigError(f"window for feed {feed!r}: {exc}") from exc
+        try:
+            windows[feed] = deembed.BeamWindow(center, half_width)
+        except ValueError as exc:
+            hw_key = "half_width_deg" if "half_width_deg" in entry else "window_halfwidth_deg"
+            raise ConfigError(f"window for feed {feed!r}: {hw_key}: {exc}") from exc
     return windows
 
 
@@ -238,14 +245,9 @@ def cmd_deembed(config) -> int:
     return EXIT_OK
 
 
-def _plan(config, pattern_set):
-    return synth.plan_from_config(config_value(config, "plan", "object"), pattern_set.feeds)
-
-
 def cmd_synth(config) -> int:
     pattern_set = _load_pattern_input(config)
-    plan = _plan(config, pattern_set)
-    dump = config_value(config, "dump_realizations", "bool", False)
+    plan = synth.plan_from_config(config_value(config, "plan", "object"), pattern_set.feeds)
     out = _output_dir(config)
     write_json(
         os.path.join(out, "realizations.json"),
@@ -262,27 +264,12 @@ def cmd_synth(config) -> int:
             ],
         },
     )
-    if dump:
-        _dump_realizations(pattern_set, plan, os.path.join(out, "realizations.csv"))
     return EXIT_OK
-
-
-def _dump_realizations(pattern_set, plan, path) -> None:
-    # pattern CSV shape with the feed column renamed; meant for small plans
-    rids, fields = [], []
-    for spec in plan.sub_arrays:
-        elem = synth.element_gains(pattern_set, spec)
-        fields.append(synthesize_fields(elem, synth.enumerate_weights(spec, plan.bits)))
-        rids += [f"{spec.label}/{k}" for k in range(len(fields[-1]))]
-    columns = pattern.pattern_csv_columns(
-        rids, pattern_set.grid, np.concatenate(fields)
-    )
-    write_csv(path, ["realization_id"] + pattern.PATTERN_CSV_HEADER[1:], columns)
 
 
 def cmd_coverage(config) -> int:
     pattern_set = _load_pattern_input(config)
-    plan = _plan(config, pattern_set)
+    plan = synth.plan_from_config(config_value(config, "plan", "object"), pattern_set.feeds)
     levels = _levels(config)
     weighting = config_value(config, "weighting", "str", cov.WEIGHTING_SOLID_ANGLE)
     cut_thetas = config_value(config, "cut_thetas_deg", "number list", [])

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ParseError
 from .grid import SphericalGrid, regular_ring_structure
-from .ioutil import float_table, write_csv
+from .ioutil import parse_floats, table_rows, write_csv
 from .kernels import synth_max_accumulate
 from .pattern import ElementPatternSet
 from .synth import SynthesisPlan, element_gains, enumerate_weights
@@ -86,6 +86,9 @@ class CoverageResult:
         c = np.ascontiguousarray(cdf, dtype=np.float64)
         if g.ndim != 1 or g.shape != c.shape or g.size == 0:
             raise ValueError("gain_db and cdf must be equal-length 1-D arrays")
+        # NaN fails every ordering check below, so reject it here
+        if np.isnan(g).any() or np.isnan(c).any() or g[-1] == math.inf:
+            raise ValueError("gain_db and cdf must not be NaN, nor gain_db +inf")
         if np.any(g[1:] <= g[:-1]):
             raise ValueError("gain_db must be strictly increasing")
         if np.any(np.diff(c) <= 0.0) or c[0] <= 0.0 or abs(c[-1] - 1.0) > 1e-9:
@@ -195,9 +198,16 @@ def save_cdf_csv(result: CoverageResult, path) -> None:
 
 
 def load_cdf_csv(path) -> CoverageResult:
-    gains, cdf = float_table(path, CDF_CSV_HEADER)
+    rows = []
+    for row, cells in table_rows(path, CDF_CSV_HEADER):
+        gain, cdf = parse_floats(cells, path, row)
+        if math.isnan(cdf) or not gain < math.inf:
+            raise ParseError("NaN cell or +inf gain_db", path=path, row=row)
+        rows.append((gain, cdf))
+    if not rows:
+        raise ParseError("no entries", path=path)
     try:
-        return CoverageResult(gains, cdf)
+        return CoverageResult(*np.array(rows).T)
     except ValueError as exc:
         raise ParseError(str(exc), path=path) from exc
 

@@ -159,7 +159,7 @@ def layered_reflection(
     """
     theta0 = float(incidence_deg)
     if not (0.0 <= theta0 < 90.0):
-        raise ValueError(f"incidence must be in [0, 90) degrees, got {theta0}")
+        raise ValueError(f"incidence_deg must be in [0, 90), got {theta0}")
     f = float(f_ghz)
     k0 = _k0_rad_per_mm(f)
 

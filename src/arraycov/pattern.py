@@ -324,31 +324,23 @@ def load_pattern_csv(path) -> ElementPatternSet:
     return patterncache.load(path)
 
 
-def pattern_csv_columns(labels, grid, fields):
-    """The pattern CSV's columns: one row per label and direction.
-
-    fields is complex (len(labels), len(grid), 2); rows go label by
-    label, in grid order within each.
-    """
-    n = len(labels)
-    return [
-        np.repeat(np.array(labels, dtype=object), len(grid)),
-        np.tile(grid.theta_deg, n),
-        np.tile(grid.phi_deg, n),
-        fields[:, :, 0].real,
-        fields[:, :, 0].imag,
-        fields[:, :, 1].real,
-        fields[:, :, 1].imag,
-    ]
-
-
 def save_pattern_csv(pattern_set: ElementPatternSet, path) -> None:
     """Write the pattern CSV.
 
     Floats go through shortest-round-trip formatting, so load after
     save reproduces every complex sample bit-exactly.
     """
-    columns = pattern_csv_columns(pattern_set.feeds, pattern_set.grid, pattern_set.gains)
+    grid, gains = pattern_set.grid, pattern_set.gains
+    n = len(pattern_set.feeds)
+    columns = [
+        np.repeat(np.array(pattern_set.feeds, dtype=object), len(grid)),
+        np.tile(grid.theta_deg, n),
+        np.tile(grid.phi_deg, n),
+        gains[:, :, 0].real,
+        gains[:, :, 0].imag,
+        gains[:, :, 1].real,
+        gains[:, :, 1].imag,
+    ]
     write_csv(path, PATTERN_CSV_HEADER, columns)
 
 

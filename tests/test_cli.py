@@ -1,10 +1,13 @@
+import ast
 import atexit
 import gc
 import importlib
 import io
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -114,6 +117,8 @@ def coverage_config(tmp_path, out, extra=None, feeds=("f0", "f1"), seed=2):
 
 
 def test_synth_command(tmp_path):
+    # dump_realizations is no longer a key: it is ignored, like any key
+    # synth does not read, and no realization's fields are written
     out = tmp_path / "out"
     cfg = coverage_config(tmp_path, out, extra={"dump_realizations": True})
     assert main(["synth", "--config", cfg]) == 0
@@ -121,9 +126,7 @@ def test_synth_command(tmp_path):
     assert manifest["bits"] == 2
     assert manifest["total"] == 4  # 2 elements, 2 bits: 2^(2*1)
     assert manifest["sub_arrays"][0]["feeds"] == ["f0", "f1"]
-    lines = (out / "realizations.csv").read_text().splitlines()
-    assert len(lines) == 1 + 4 * len(GRID)
-    assert lines[1].startswith("s/0,")
+    assert sorted(os.listdir(out)) == ["realizations.json"]
 
 
 def test_coverage_outputs(tmp_path):
@@ -344,6 +347,23 @@ def test_compare_command(tmp_path):
         assert float(row.split(",")[3]) == 0.0
     report = json.loads((out_cmp / "compare.json").read_text())
     assert report["peak_delta_db"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "body, row",
+    [("-inf,0.5\n\nnan,1.0\n", 4), ("0.0,nan\n1.0,1.0\n", 2), ("0.0,0.5\ninf,1.0\n", 3)],
+    ids=["nan_gain", "nan_cdf", "inf_gain"],
+)
+def test_compare_rejects_a_nan_or_inf_cdf_row(tmp_path, capsys, body, row):
+    # NaN passes no ordering check; it would reach compare.json as a bare NaN
+    bad = tmp_path / "bad.csv"
+    bad.write_text("gain_db,cdf\n" + body)
+    out = tmp_path / "cmp"
+    cfg = write_config(tmp_path, {"cdf_a": str(bad), "cdf_b": str(bad), "output_dir": str(out)})
+    assert main(["compare", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "parse error" in err and f"bad.csv, row {row})" in err
+    assert not out.exists()
 
 
 def test_reflect_film(tmp_path):
@@ -685,7 +705,6 @@ def runnable_config(tmp_path, command):
         ("coverage", ("plan", "bits"), True),
         ("deembed", ("linear_mean",), "false"),
         ("reflect", ("extrapolate",), "false"),
-        ("synth", ("dump_realizations",), "false"),
         ("coverage", ("cut_thetas_deg",), "90"),
         ("synth", ("plan", "sub_arrays", 0, "feeds"), "ab"),
         ("reflect", ("frequencies_ghz",), [math.nan]),
@@ -694,7 +713,7 @@ def runnable_config(tmp_path, command):
     ],
     ids=["theta_step_str", "thickness_null", "frequency_null", "incidence_null",
          "bits_float", "bits_bool", "linear_mean_str", "extrapolate_str",
-         "dump_realizations_str", "cut_thetas_str", "feeds_str", "frequency_nan",
+         "cut_thetas_str", "feeds_str", "frequency_nan",
          "floor_db_nan", "thickness_401_digits"],
 )
 def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, path, value):
@@ -763,7 +782,21 @@ CONFIG_ERRORS = {
     "grid_over_the_cap": (
         "grid",
         {"grid": {"kind": "uniform-sphere", "points": 10**18}},
-        "target_count must be at most",
+        "grid points",
+    ),
+    "too_few_grid_points": (
+        "coverage",
+        {"coverage_grid": {"kind": "uniform-sphere", "points": 4}},
+        "coverage_grid points",
+    ),
+    "incidence_of_95": ("reflect", {"incidence_deg": 95}, "incidence_deg"),
+    "window_half_width_of_100": (
+        "deembed",
+        {"windows": {"f0": {"center_theta_deg": 90.0, "half_width_deg": 100}}},
+        "half_width_deg",
+    ),
+    "default_window_half_width_of_0": (
+        "deembed", {"window_halfwidth_deg": 0}, "window_halfwidth_deg"
     ),
 }
 
@@ -1177,3 +1210,37 @@ def test_cached_coverage_run_loads_no_hashlib(tmp_path):
     )
     assert run_child(code) == ["0", "0", "False"]
     assert (tmp_path / PATTERN_CACHE).exists()
+
+
+def _config_keys_read_by_cli():
+    """The top-level config keys cli.py reads, from its source."""
+    readers = {"config_value", "_input_file", "_build_grid"}
+    keys = set()
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in readers and len(node.args) >= 2):
+            owner, key = node.args[:2]
+        elif isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.In):
+            key, owner = node.left, node.comparators[0]
+        else:
+            continue
+        if (isinstance(owner, ast.Name) and owner.id == "config"
+                and isinstance(key, ast.Constant) and isinstance(key.value, str)):
+            keys.add(key.value)
+    return keys
+
+
+def _readme_config_keys():
+    """The backticked names in the key column of the README's key table."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| key | kind | default | read by |") + 2
+    keys = set()
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
+        keys.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+    return keys
+
+
+def test_readme_key_table_lists_the_keys_the_cli_reads():
+    keys = _config_keys_read_by_cli()
+    assert {"output_dir", "pattern", "loss_table", "coverage_grid", "extrapolate"} <= keys
+    assert _readme_config_keys() == keys

@@ -431,6 +431,20 @@ def test_cdf_csv_errors(tmp_path):
     with pytest.raises(ParseError) as err:
         load_cdf_csv(path)
     assert err.value.row == 2
+    # the first NaN cell or +inf gain, rows counted as in the file
+    for body, row in (
+        ("nan,0.5\n1.0,1.0\n", 2),
+        ("0.0,nan\n1.0,1.0\n", 2),
+        ("-inf,0.5\n\n1.0,nan\n", 4),
+        ("0.0,0.5\n\n\ninf,1.0\n", 5),
+        ("nan,nan\ninf,nan\n", 2),
+    ):
+        path.write_text("gain_db,cdf\n" + body)
+        with pytest.raises(ParseError) as err:
+            load_cdf_csv(path)
+        assert err.value.row == row
+    path.write_text("gain_db,cdf\n-inf,0.5\n\n1.0,1.0\n")
+    assert load_cdf_csv(path).gain_db.tolist() == [-math.inf, 1.0]
 
 
 def test_gainmap_csv_export(tmp_path):
@@ -455,6 +469,17 @@ def test_coverage_result_validation():
     for gain_db, cdf in (([0.5, 1.0], [1.0]), ([], []), ([[0.5, 1.0]], [[0.5, 1.0]])):
         with pytest.raises(ValueError, match="equal-length 1-D"):
             CoverageResult(np.array(gain_db), np.array(cdf))
+    for gain_db, cdf in (
+        ([math.nan, 1.0], [0.5, 1.0]),
+        ([0.5, math.nan], [0.5, 1.0]),
+        ([0.5, 1.0], [math.nan, 1.0]),
+        ([0.5, 1.0], [0.5, math.nan]),
+        ([0.5, math.inf], [0.5, 1.0]),
+    ):
+        with pytest.raises(ValueError, match="NaN"):
+            CoverageResult(np.array(gain_db), np.array(cdf))
+    # save_cdf_csv writes a leading -inf where some directions have zero gain
+    assert CoverageResult(np.array([-math.inf, 1.0]), np.array([0.5, 1.0])).peak_gain_db == 1.0
 
 
 def test_gainmap_validation():
