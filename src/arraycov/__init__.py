@@ -27,8 +27,7 @@ _EXPORTS = {
     "save_loss_csv",
     "errors": "ArraycovError CapacityError ConfigError EstimationError "
     "MaterialRangeError ParseError",
-    "grid": "Direction SphericalGrid load_grid_csv make_regular_grid "
-    "make_uniform_sphere_grid save_grid_csv",
+    "grid": "Direction SphericalGrid make_regular_grid make_uniform_sphere_grid",
     "materials": "AIR Layer LayerStack MaterialRecord builtin_material "
     "layered_reflection load_material_csv penetration_depth_mm permittivity_at "
     "reflection_db skin_thickness_delta",

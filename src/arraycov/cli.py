@@ -1,9 +1,9 @@
 """Batch command-line front end.
 
-One subcommand per pipeline stage (grid, deembed, synth, coverage,
-compare, reflect), each driven by a single JSON config file, its only
-option. Outputs are deterministic: identical inputs and config
-produce byte-identical files, so runs can be diffed.
+One subcommand per pipeline result (deembed, coverage, compare,
+reflect), each driven by a single JSON config file, its only option.
+Outputs are deterministic: identical inputs and config produce
+byte-identical files, so runs can be diffed.
 
 Exit codes: 0 on success; EXIT_CODES maps each error to its code.
 """
@@ -37,7 +37,6 @@ from .grid import (
     make_regular_grid,
     make_uniform_sphere_grid,
     regular_ring_structure,
-    save_grid_csv,
 )
 from .ioutil import config_value, format_float, write_csv, write_json
 
@@ -89,8 +88,8 @@ def _output_dir(config):
     return out
 
 
-def _build_grid(config, key):
-    spec = config_value(config, key, "object")
+def _build_grid(config):
+    spec = config_value(config, "coverage_grid", "object")
     kind = config_value(spec, "kind", "str")
     if kind == "regular":
         return make_regular_grid(
@@ -101,8 +100,8 @@ def _build_grid(config, key):
         try:
             return make_uniform_sphere_grid(config_value(spec, "points", "int"))
         except ValueError as exc:
-            raise ConfigError(f"{key} points: {exc}") from exc
-    raise ConfigError(f"unknown {key} kind {kind!r}")
+            raise ConfigError(f"coverage_grid points: {exc}") from exc
+    raise ConfigError(f"unknown coverage_grid kind {kind!r}")
 
 
 def _levels(config):
@@ -130,7 +129,7 @@ def _windows(config, feeds):
         try:
             center = Direction(theta, phi)
         except ValueError as exc:
-            raise ConfigError(f"window for feed {feed!r}: {exc}") from exc
+            raise ConfigError(f"window for feed {feed!r}: center_theta_deg: {exc}") from exc
         try:
             windows[feed] = deembed.BeamWindow(center, half_width)
         except ValueError as exc:
@@ -210,23 +209,6 @@ def _load_pattern_input(config):
     return pattern_set
 
 
-def cmd_grid(config) -> int:
-    grid = _build_grid(config, "grid")
-    out = _output_dir(config)
-    save_grid_csv(grid, os.path.join(out, "grid.csv"))
-    write_json(
-        os.path.join(out, "grid.json"),
-        {
-            "kind": grid.kind,
-            "points": len(grid),
-            "weight_sum_sr": grid.weight_sum,
-            "theta_step_deg": grid.theta_step_deg,
-            "phi_step_deg": grid.phi_step_deg,
-        },
-    )
-    return EXIT_OK
-
-
 def cmd_deembed(config) -> int:
     from . import deembed
 
@@ -245,28 +227,6 @@ def cmd_deembed(config) -> int:
     return EXIT_OK
 
 
-def cmd_synth(config) -> int:
-    pattern_set = _load_pattern_input(config)
-    plan = synth.plan_from_config(config_value(config, "plan", "object"), pattern_set.feeds)
-    out = _output_dir(config)
-    write_json(
-        os.path.join(out, "realizations.json"),
-        {
-            "bits": plan.bits,
-            "total": plan.realization_count,
-            "sub_arrays": [
-                {
-                    "label": spec.label,
-                    "feeds": [pattern_set.feeds[i] for i in spec.feed_indices],
-                    "weights": synth.weight_count(spec.size, plan.bits),
-                }
-                for spec in plan.sub_arrays
-            ],
-        },
-    )
-    return EXIT_OK
-
-
 def cmd_coverage(config) -> int:
     pattern_set = _load_pattern_input(config)
     plan = synth.plan_from_config(config_value(config, "plan", "object"), pattern_set.feeds)
@@ -275,7 +235,7 @@ def cmd_coverage(config) -> int:
     cut_thetas = config_value(config, "cut_thetas_deg", "number list", [])
 
     if "coverage_grid" in config:
-        pattern_set = pattern.resample(pattern_set, _build_grid(config, "coverage_grid"))
+        pattern_set = pattern.resample(pattern_set, _build_grid(config))
     cov.direction_weights(pattern_set.grid, weighting)  # fail before the kernel runs
     gain_map = cov.max_gain_over_plan(pattern_set, plan)
     result = cov.coverage_cdf(gain_map, weighting=weighting)
@@ -382,9 +342,7 @@ def cmd_reflect(config) -> int:
 
 
 _COMMANDS = {
-    "grid": cmd_grid,
     "deembed": cmd_deembed,
-    "synth": cmd_synth,
     "coverage": cmd_coverage,
     "compare": cmd_compare,
     "reflect": cmd_reflect,

@@ -14,9 +14,6 @@ import math
 
 import numpy as np
 
-from .errors import ParseError
-from .ioutil import float_table, write_csv
-
 FULL_SPHERE_SR = 4.0 * math.pi
 
 # relative tolerance on the full-sphere weight-sum closure
@@ -287,34 +284,10 @@ def detect_regular_steps(theta_deg, phi_deg):
         return None
     # phis sorted within each ring, against j * phi_step; the poles stay out
     order = np.lexsort((phi_deg, ring))
-    j = np.arange(order.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    j = _ring_positions(sizes)
     if not np.allclose(
         np.asarray(phi_deg)[order][1:-1], j[1:-1] * phi_step, rtol=0.0, atol=1e-9
     ):
         return None
     return theta_step, phi_step
 
-
-GRID_CSV_HEADER = ["theta_deg", "phi_deg", "weight_sr"]
-
-
-def save_grid_csv(grid: SphericalGrid, path) -> None:
-    write_csv(path, GRID_CSV_HEADER, [grid.theta_deg, grid.phi_deg, grid.weight_sr])
-
-
-def load_grid_csv(path) -> SphericalGrid:
-    """Read a grid CSV (theta_deg, phi_deg, weight_sr with header)."""
-    thetas, phis, weights = float_table(path, GRID_CSV_HEADER, finite=True)
-    steps = detect_regular_steps(thetas, phis)
-    kind = KIND_REGULAR if steps else KIND_UNIFORM
-    try:
-        return SphericalGrid(
-            thetas,
-            phis,
-            weights,
-            kind=kind,
-            theta_step_deg=steps[0] if steps else None,
-            phi_step_deg=steps[1] if steps else None,
-        )
-    except ValueError as exc:
-        raise ParseError(str(exc), path=path) from exc

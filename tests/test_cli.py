@@ -21,7 +21,7 @@ from arraycov.cli import main
 from arraycov.coverage import CDF_CSV_HEADER, load_cdf_csv
 from arraycov.deembed import LOSS_CSV_HEADER, load_loss_csv
 from arraycov.errors import ParseError
-from arraycov.grid import GRID_CSV_HEADER, load_grid_csv, make_regular_grid
+from arraycov.grid import make_regular_grid
 from arraycov.ioutil import write_json
 from arraycov.materials import MATERIAL_CSV_HEADER, load_material_csv
 from arraycov.pattern import (
@@ -55,23 +55,6 @@ def pattern_file(tmp_path, pset, name="pattern.csv"):
     path = tmp_path / name
     save_pattern_csv(pset, path)
     return str(path)
-
-
-def test_grid_command(tmp_path):
-    out = tmp_path / "out"
-    cfg = write_config(
-        tmp_path,
-        {
-            "grid": {"kind": "regular", "theta_step_deg": 30.0, "phi_step_deg": 90.0},
-            "output_dir": str(out),
-        },
-    )
-    assert main(["grid", "--config", cfg]) == 0
-    meta = json.loads((out / "grid.json").read_text())
-    assert meta["kind"] == "regular"
-    assert meta["points"] == len(GRID)
-    assert meta["weight_sum_sr"] == pytest.approx(4 * math.pi)
-    assert (out / "grid.csv").exists()
 
 
 def test_deembed_command(tmp_path):
@@ -114,19 +97,6 @@ def coverage_config(tmp_path, out, extra=None, feeds=("f0", "f1"), seed=2):
     if extra:
         payload.update(extra)
     return write_config(tmp_path, payload)
-
-
-def test_synth_command(tmp_path):
-    # dump_realizations is no longer a key: it is ignored, like any key
-    # synth does not read, and no realization's fields are written
-    out = tmp_path / "out"
-    cfg = coverage_config(tmp_path, out, extra={"dump_realizations": True})
-    assert main(["synth", "--config", cfg]) == 0
-    manifest = json.loads((out / "realizations.json").read_text())
-    assert manifest["bits"] == 2
-    assert manifest["total"] == 4  # 2 elements, 2 bits: 2^(2*1)
-    assert manifest["sub_arrays"][0]["feeds"] == ["f0", "f1"]
-    assert sorted(os.listdir(out)) == ["realizations.json"]
 
 
 def test_coverage_outputs(tmp_path):
@@ -464,18 +434,18 @@ def test_oversized_frequency_sweep_exits_2(tmp_path, capsys, sweep):
 
 
 def test_missing_config_exits_2(tmp_path):
-    assert main(["grid", "--config", str(tmp_path / "absent.json")]) == 2
+    assert main(["reflect", "--config", str(tmp_path / "absent.json")]) == 2
 
 
 def test_bad_json_exits_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
-    assert main(["grid", "--config", str(path)]) == 2
+    assert main(["reflect", "--config", str(path)]) == 2
 
 
 def test_missing_required_key_exits_2(tmp_path):
     cfg = write_config(tmp_path, {"output_dir": str(tmp_path / "out")})
-    assert main(["grid", "--config", cfg]) == 2
+    assert main(["reflect", "--config", cfg]) == 2
 
 
 def test_missing_input_exits_2_without_partial_outputs(tmp_path):
@@ -592,7 +562,6 @@ def test_oversized_loss_table_field_exits_3_naming_row(tmp_path, capsys):
     [
         (load_pattern_csv, ",".join(PATTERN_CSV_HEADER)),
         (load_loss_csv, ",".join(LOSS_CSV_HEADER)),
-        (load_grid_csv, ",".join(GRID_CSV_HEADER)),
         (load_cdf_csv, ",".join(CDF_CSV_HEADER)),
         (load_material_csv, ",".join(MATERIAL_CSV_HEADER)),
     ],
@@ -635,7 +604,6 @@ def test_capacity_blowup_exits_2(tmp_path):
         extra={"plan": {"bits": 6, "sub_arrays": [{"label": "s", "feeds": feeds}]}},
     )
     # 2^(6*4) weights blows past the enumeration cap
-    assert main(["synth", "--config", cfg]) == 2
     assert main(["coverage", "--config", cfg]) == 2
     assert not out.exists()
 
@@ -680,8 +648,6 @@ def test_bad_window_center_exits_2(tmp_path):
 
 def runnable_config(tmp_path, command):
     """A config, without output_dir, on which command exits 0."""
-    if command == "grid":
-        return {"grid": {"kind": "regular", "theta_step_deg": 30, "phi_step_deg": 90}}
     if command == "reflect":
         return {"stack": {"layers": [{"material": "ldpe_film", "thickness_mm": 0.1}]},
                 "frequencies_ghz": [28.0]}
@@ -691,13 +657,14 @@ def runnable_config(tmp_path, command):
                 "measured": pattern_file(tmp_path, sim, "meas.csv"),
                 "windows": {"f0": {"center_theta_deg": 90.0}}}
     return {"pattern": pattern_file(tmp_path, smooth_pattern(["a", "b"])),
-            "plan": {"bits": 2, "sub_arrays": [{"label": "s", "feeds": ["a", "b"]}]}}
+            "plan": {"bits": 2, "sub_arrays": [{"label": "s", "feeds": ["a", "b"]}]},
+            "coverage_grid": {"kind": "regular", "theta_step_deg": 30, "phi_step_deg": 90}}
 
 
 @pytest.mark.parametrize(
     "command, path, value",
     [
-        ("grid", ("grid", "theta_step_deg"), "1"),
+        ("coverage", ("coverage_grid", "theta_step_deg"), "1"),
         ("reflect", ("stack", "layers", 0, "thickness_mm"), None),
         ("reflect", ("frequencies_ghz",), [None]),
         ("reflect", ("incidence_deg",), None),
@@ -706,7 +673,7 @@ def runnable_config(tmp_path, command):
         ("deembed", ("linear_mean",), "false"),
         ("reflect", ("extrapolate",), "false"),
         ("coverage", ("cut_thetas_deg",), "90"),
-        ("synth", ("plan", "sub_arrays", 0, "feeds"), "ab"),
+        ("coverage", ("plan", "sub_arrays", 0, "feeds"), "ab"),
         ("reflect", ("frequencies_ghz",), [math.nan]),
         ("deembed", ("floor_db",), math.nan),
         ("reflect", ("stack", "layers", 0, "thickness_mm"), 10**400),
@@ -741,9 +708,11 @@ def _loss_table_of_feed_a(tmp_path):
 # id: (command, changes to its runnable config, what stderr must name);
 # None for changes writes a config whose root is a list
 CONFIG_ERRORS = {
-    "root_not_object": ("grid", None, "config root"),
-    "empty_output_dir": ("grid", {"output_dir": ""}, "output_dir"),
-    "unknown_grid_kind": ("grid", {"grid": {"kind": "hexagonal"}}, "grid kind"),
+    "root_not_object": ("reflect", None, "config root"),
+    "empty_output_dir": ("reflect", {"output_dir": ""}, "output_dir"),
+    "unknown_grid_kind": (
+        "coverage", {"coverage_grid": {"kind": "hexagonal"}}, "coverage_grid kind"
+    ),
     "empty_levels": ("coverage", {"levels": []}, "levels"),
     "level_out_of_range": ("coverage", {"levels": [0.5, 1.0]}, "levels"),
     "empty_stack": ("reflect", {"stack": {"layers": []}}, "stack layers"),
@@ -775,14 +744,14 @@ CONFIG_ERRORS = {
     ),
     "cut_theta_without_ring": ("coverage", {"cut_thetas_deg": [45]}, "cut_thetas_deg"),
     "overflowing_step": (
-        "grid",
-        {"grid": {"kind": "regular", "theta_step_deg": 1e-308, "phi_step_deg": 10}},
+        "coverage",
+        {"coverage_grid": {"kind": "regular", "theta_step_deg": 1e-308, "phi_step_deg": 10}},
         "theta_step_deg",
     ),
     "grid_over_the_cap": (
-        "grid",
-        {"grid": {"kind": "uniform-sphere", "points": 10**18}},
-        "grid points",
+        "coverage",
+        {"coverage_grid": {"kind": "uniform-sphere", "points": 10**18}},
+        "coverage_grid points",
     ),
     "too_few_grid_points": (
         "coverage",
@@ -797,6 +766,11 @@ CONFIG_ERRORS = {
     ),
     "default_window_half_width_of_0": (
         "deembed", {"window_halfwidth_deg": 0}, "window_halfwidth_deg"
+    ),
+    "window_center_out_of_range": (
+        "deembed",
+        {"windows": {"f0": {"center_theta_deg": 200.0}}},
+        "window for feed 'f0': center_theta_deg",
     ),
 }
 
@@ -827,7 +801,7 @@ def test_import_cli_loads_no_materials():
 
 
 def test_import_cli_loads_no_deembed():
-    # only deembed and a coverage or synth run with a loss_table use it
+    # only deembed and a coverage run with a loss_table use it
     code = "import sys, arraycov.cli; print('arraycov.deembed' in sys.modules)"
     assert run_child(code) == ["False"]
 
@@ -929,10 +903,8 @@ def test_unusable_output_dir_exits_2(tmp_path, capsys, under):
     blocker = tmp_path / "taken"
     blocker.write_text("")
     out = blocker / "out" if under else blocker
-    cfg = write_config(
-        tmp_path, {"grid": {"kind": "uniform-sphere", "points": 40}, "output_dir": str(out)}
-    )
-    assert main(["grid", "--config", cfg]) == 2
+    cfg = write_config(tmp_path, {**runnable_config(tmp_path, "reflect"), "output_dir": str(out)})
+    assert main(["reflect", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert f"configuration error: cannot create output_dir {str(out)!r}" in err
     assert blocker.read_text() == ""
@@ -962,20 +934,14 @@ def test_json_beside_the_pattern_is_not_read(tmp_path, payload):
 
 def test_module_entry_point(tmp_path):
     out = tmp_path / "out"
-    cfg = write_config(
-        tmp_path,
-        {
-            "grid": {"kind": "uniform-sphere", "points": 40},
-            "output_dir": str(out),
-        },
-    )
+    cfg = write_config(tmp_path, {**runnable_config(tmp_path, "reflect"), "output_dir": str(out)})
     proc = subprocess.run(
-        [sys.executable, "-m", "arraycov.cli", "grid", "--config", cfg],
+        [sys.executable, "-m", "arraycov.cli", "reflect", "--config", cfg],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert (out / "grid.csv").exists()
+    assert (out / "reflection.csv").exists()
 
 
 # registered before main, so that it runs after every exit hook main adds
@@ -1012,12 +978,11 @@ def test_exit_hook_only_for_the_program_and_once(tmp_path, monkeypatch):
     monkeypatch.setattr(atexit, "register", hooks.append)
     monkeypatch.setattr(atexit, "unregister", lambda f: hooks.remove(f) if f in hooks else None)
     cfg = write_config(
-        tmp_path,
-        {"grid": {"kind": "uniform-sphere", "points": 40}, "output_dir": str(tmp_path / "out")},
+        tmp_path, {**runnable_config(tmp_path, "reflect"), "output_dir": str(tmp_path / "out")}
     )
-    assert main(["grid", "--config", cfg]) == 0
+    assert main(["reflect", "--config", cfg]) == 0
     assert hooks == []
-    monkeypatch.setattr(sys, "argv", ["arraycov", "grid", "--config", cfg])
+    monkeypatch.setattr(sys, "argv", ["arraycov", "reflect", "--config", cfg])
     assert main() == 0
     assert main() == 0
     assert hooks == [gc.freeze]
@@ -1197,7 +1162,7 @@ def test_unmapped_exception_is_raised(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "_load_config", crash)
     with pytest.raises(RuntimeError, match="not a user error"):
-        main(["grid", "--config", str(tmp_path / "config.json")])
+        main(["reflect", "--config", str(tmp_path / "config.json")])
 
 
 def test_cached_coverage_run_loads_no_hashlib(tmp_path):
@@ -1214,7 +1179,7 @@ def test_cached_coverage_run_loads_no_hashlib(tmp_path):
 
 def _config_keys_read_by_cli():
     """The top-level config keys cli.py reads, from its source."""
-    readers = {"config_value", "_input_file", "_build_grid"}
+    readers = {"config_value", "_input_file"}
     keys = set()
     for node in ast.walk(ast.parse(Path(cli.__file__).read_text())):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
@@ -1230,13 +1195,19 @@ def _config_keys_read_by_cli():
     return keys
 
 
+def _readme_table_first_cells(header):
+    """The first cell of each row of the README table under header."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index(header) + 2
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
+    return [line.split("|")[1] for line in rows]
+
+
 def _readme_config_keys():
     """The backticked names in the key column of the README's key table."""
-    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
-    start = lines.index("| key | kind | default | read by |") + 2
     keys = set()
-    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start:]):
-        keys.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+    for cell in _readme_table_first_cells("| key | kind | default | read by |"):
+        keys.update(re.findall(r"`([^`]+)`", cell))
     return keys
 
 
@@ -1244,3 +1215,27 @@ def test_readme_key_table_lists_the_keys_the_cli_reads():
     keys = _config_keys_read_by_cli()
     assert {"output_dir", "pattern", "loss_table", "coverage_grid", "extrapolate"} <= keys
     assert _readme_config_keys() == keys
+
+
+def test_readme_lists_the_subcommands_of_the_cli():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    usage = re.findall(r"^arraycov <([^>]+)> --config run.json$", readme, re.MULTILINE)
+    table = _readme_table_first_cells("| subcommand | inputs | outputs |")
+    assert usage == ["|".join(cli._COMMANDS)]
+    assert [cell.strip().strip("`") for cell in table] == list(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("command", ["grid", "synth"])
+def test_removed_subcommand_is_a_usage_error(tmp_path, capsys, command):
+    # a coverage run writes what grid and synth wrote: no alias keeps them
+    out = tmp_path / "out"
+    config = {
+        **runnable_config(tmp_path, "coverage"),
+        "grid": {"kind": "uniform-sphere", "points": 40},
+        "output_dir": str(out),
+    }
+    with pytest.raises(SystemExit) as info:
+        main([command, "--config", write_config(tmp_path, config)])
+    assert info.value.code == 2
+    assert f"invalid choice: {command!r}" in capsys.readouterr().err
+    assert not out.exists()

@@ -5,7 +5,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from arraycov.errors import ParseError
 from arraycov.grid import (
     MAX_GRID_DIRECTIONS,
     Direction,
@@ -14,11 +13,9 @@ from arraycov.grid import (
     _uniform_ring_layout,
     detect_regular_steps,
     direction_keys,
-    load_grid_csv,
     make_regular_grid,
     make_uniform_sphere_grid,
     regular_ring_structure,
-    save_grid_csv,
 )
 from arraycov.pattern import ElementPatternSet, load_pattern_csv, save_pattern_csv
 
@@ -105,14 +102,9 @@ def test_regular_grid_south_pole_when_steps_round_short(n_theta):
 # 39, 78 and 156 also put n * (180 / n) below 180
 @pytest.mark.parametrize("n_theta", [7, 39, 78, 156])
 def test_regular_grid_csv_round_trips_at_inexact_steps(tmp_path, n_theta):
+    # a pattern CSV on the lattice: its reader finds the steps with
+    # detect_regular_steps
     grid = make_regular_grid(180.0 / n_theta, 90.0)
-    grid_path = tmp_path / "grid.csv"
-    save_grid_csv(grid, grid_path)
-    loaded = load_grid_csv(grid_path)
-    assert loaded.kind == "regular"
-    assert loaded.same_directions(grid)
-    assert loaded.weight_sr.tobytes() == grid.weight_sr.tobytes()
-
     rng = np.random.default_rng(n_theta)
     shape = (1, len(grid), 2)
     pset = ElementPatternSet(
@@ -121,7 +113,10 @@ def test_regular_grid_csv_round_trips_at_inexact_steps(tmp_path, n_theta):
     pattern_path = tmp_path / "pattern.csv"
     save_pattern_csv(pset, pattern_path)
     back = load_pattern_csv(pattern_path)
+    assert back.grid.kind == "regular"
+    assert (back.grid.theta_step_deg, back.grid.phi_step_deg) == (180.0 / n_theta, 90.0)
     assert back.grid.same_directions(grid)
+    assert back.grid.weight_sr.tobytes() == grid.weight_sr.tobytes()
     assert back.gains.tobytes() == pset.gains.tobytes()
 
 
@@ -404,57 +399,3 @@ def test_ring_structure():
     with pytest.raises(ValueError, match="requires a regular grid"):
         regular_ring_structure(make_uniform_sphere_grid(100))
 
-
-def test_csv_round_trip_regular(tmp_path):
-    grid = make_regular_grid(10.0, 30.0)
-    path = tmp_path / "grid.csv"
-    save_grid_csv(grid, path)
-    loaded = load_grid_csv(path)
-    assert loaded.kind == "regular"
-    assert loaded.theta_step_deg == 10.0
-    assert loaded.same_directions(grid)
-    np.testing.assert_array_equal(loaded.weight_sr, grid.weight_sr)
-    # second save is byte-identical
-    path2 = tmp_path / "grid2.csv"
-    save_grid_csv(loaded, path2)
-    assert path.read_bytes() == path2.read_bytes()
-
-
-def test_csv_round_trip_uniform(tmp_path):
-    grid = make_uniform_sphere_grid(200)
-    path = tmp_path / "grid.csv"
-    save_grid_csv(grid, path)
-    loaded = load_grid_csv(path)
-    assert loaded.kind == "uniform-sphere"
-    assert loaded.same_directions(grid)
-    np.testing.assert_array_equal(loaded.weight_sr, grid.weight_sr)
-
-
-def test_csv_bad_header(tmp_path):
-    path = tmp_path / "grid.csv"
-    path.write_text("theta,phi,weight\n0,0,1\n")
-    with pytest.raises(ParseError) as err:
-        load_grid_csv(path)
-    assert err.value.row == 1
-
-
-def test_csv_non_numeric_row(tmp_path):
-    path = tmp_path / "grid.csv"
-    path.write_text("theta_deg,phi_deg,weight_sr\n10,0,abc\n")
-    with pytest.raises(ParseError) as err:
-        load_grid_csv(path)
-    assert err.value.row == 2
-
-
-def test_csv_negative_weight(tmp_path):
-    path = tmp_path / "grid.csv"
-    path.write_text("theta_deg,phi_deg,weight_sr\n10,0,-0.5\n")
-    with pytest.raises(ParseError):
-        load_grid_csv(path)
-
-
-def test_csv_empty(tmp_path):
-    path = tmp_path / "grid.csv"
-    path.write_text("theta_deg,phi_deg,weight_sr\n")
-    with pytest.raises(ParseError, match="no entries"):
-        load_grid_csv(path)

@@ -9,13 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from arraycov.coverage import CoverageResult, load_cdf_csv, save_cdf_csv
 from arraycov.deembed import PortLossTable, load_loss_csv, save_loss_csv
-from arraycov.grid import (
-    SphericalGrid,
-    load_grid_csv,
-    make_regular_grid,
-    make_uniform_sphere_grid,
-    save_grid_csv,
-)
+from arraycov.grid import make_regular_grid
 from arraycov.errors import ConfigError
 from arraycov.ioutil import config_value, format_float, write_csv
 from arraycov.pattern import ElementPatternSet, load_pattern_csv, save_pattern_csv
@@ -101,24 +95,6 @@ def test_pattern_csv_round_trip_bit_exact(tmp_path_factory, steps, n_feeds, data
     same_bits(loaded.grid.theta_deg, grid.theta_deg)
     same_bits(loaded.grid.phi_deg, grid.phi_deg)
     same_bits(loaded.gains.view(np.float64), original.gains.view(np.float64))
-
-
-positive_floats = st.floats(min_value=5e-324, allow_infinity=False) | st.floats(
-    5e-324, TINY
-)
-
-
-@settings(max_examples=60, deadline=None)
-@given(regular=st.booleans(), data=st.data())
-def test_grid_csv_round_trip_bit_exact(tmp_path_factory, regular, data):
-    base = make_regular_grid(30.0, 45.0) if regular else make_uniform_sphere_grid(60)
-    weights = data.draw(arrays(np.float64, len(base), elements=positive_floats))
-    grid = SphericalGrid(base.theta_deg, base.phi_deg, weights, kind=base.kind)
-    path = tmp_path_factory.mktemp("csv") / "grid.csv"
-    save_grid_csv(grid, path)
-    loaded = load_grid_csv(path)
-    for name in ("theta_deg", "phi_deg", "weight_sr"):
-        same_bits(getattr(loaded, name), getattr(grid, name))
 
 
 @settings(max_examples=100, deadline=None)
