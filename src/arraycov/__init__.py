@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 
 # module: the public names it exports
 _EXPORTS = {
-    "coverage": "CoverageResult GainMap compare_cdfs coverage_cdf load_cdf_csv "
+    "coverage": "CoverageResult GainMap coverage_cdf load_cdf_csv "
     "mae_per_theta_cut max_gain_over_plan percentile_gain save_cdf_csv "
     "save_gainmap_csv",
     "deembed": "BeamWindow PortLossTable apply_losses estimate_losses load_loss_csv "

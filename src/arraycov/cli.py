@@ -231,16 +231,14 @@ def cmd_coverage(config) -> int:
     pattern_set = _load_pattern_input(config)
     plan = synth.plan_from_config(config_value(config, "plan", "object"), pattern_set.feeds)
     levels = _levels(config)
-    weighting = config_value(config, "weighting", "str", cov.WEIGHTING_SOLID_ANGLE)
     cut_thetas = config_value(config, "cut_thetas_deg", "number list", [])
 
     if "coverage_grid" in config:
         pattern_set = pattern.resample(pattern_set, _build_grid(config))
-    cov.direction_weights(pattern_set.grid, weighting)  # fail before the kernel runs
+    cuts = [(theta, _cut_ring(pattern_set.grid, theta)) for theta in cut_thetas]
     gain_map = cov.max_gain_over_plan(pattern_set, plan)
-    result = cov.coverage_cdf(gain_map, weighting=weighting)
+    result = cov.coverage_cdf(gain_map)
     percentiles = {format_float(p): cov.percentile_gain(result, p) for p in levels}
-    cuts = [(theta, _extract_cut(gain_map, theta)) for theta in cut_thetas]
 
     out = _output_dir(config)
     cov.save_gainmap_csv(gain_map, os.path.join(out, "gain_map.csv"))
@@ -252,7 +250,7 @@ def cmd_coverage(config) -> int:
             "bits": plan.bits,
             "grid_points": len(gain_map.grid),
             "grid_kind": gain_map.grid.kind,
-            "weighting": weighting,
+            "weighting": cov.WEIGHTING_SOLID_ANGLE,
             "peak_gain_db": result.peak_gain_db,
             "median_gain_db": cov.percentile_gain(result, 0.5),
             "percentile_gain_db": percentiles,
@@ -267,12 +265,13 @@ def cmd_coverage(config) -> int:
         xlabel="max realized gain [dB]",
         ylabel="CDF",
     )
-    for theta, (phis, gains_db) in cuts:
+    gain_db = gain_map.gain_db()
+    for theta, idx in cuts:
         svgplot.line_plot(
             os.path.join(out, f"cut_theta_{theta:g}.svg"),
             f"theta={theta:g}",
-            phis,
-            gains_db,
+            gain_map.grid.phi_deg[idx],
+            gain_db[idx],
             title="Max realized gain cut",
             xlabel="phi [deg]",
             ylabel="gain [dB]",
@@ -280,38 +279,30 @@ def cmd_coverage(config) -> int:
     return EXIT_OK
 
 
-def _extract_cut(gain_map, theta_deg):
-    if not gain_map.grid.is_regular:
+def _cut_ring(grid, theta_deg):
+    """Indices of the grid's directions on the theta ring at theta_deg."""
+    if not grid.is_regular:
         raise ConfigError("cut_thetas_deg requires a regular coverage grid")
-    ring_thetas, rings = regular_ring_structure(gain_map.grid)
+    ring_thetas, rings = regular_ring_structure(grid)
     match = np.nonzero(np.isclose(ring_thetas, theta_deg, rtol=0.0, atol=1e-9))[0]
     if match.size == 0:
         raise ConfigError(f"cut_thetas_deg: no theta ring at {theta_deg} degrees")
-    idx = rings[match[0]]
-    gain_db = gain_map.gain_db()
-    return gain_map.grid.phi_deg[idx], gain_db[idx]
+    return rings[match[0]]
 
 
 def cmd_compare(config) -> int:
     result_a = cov.load_cdf_csv(_input_file(config, "cdf_a"))
     result_b = cov.load_cdf_csv(_input_file(config, "cdf_b"))
-    levels = _levels(config)
-    deltas = cov.compare_cdfs(result_a, result_b, levels)
-    rows = [
-        (p, cov.percentile_gain(result_a, p), cov.percentile_gain(result_b, p), d)
-        for p, d in zip(levels, deltas)
+    gains = [
+        (p, cov.percentile_gain(result_a, p), cov.percentile_gain(result_b, p))
+        for p in _levels(config)
     ]
     out = _output_dir(config)
-    write_csv(
-        os.path.join(out, "compare.csv"),
-        ["level", "gain_a_db", "gain_b_db", "delta_db"],
-        list(zip(*rows)),
-    )
     write_json(
         os.path.join(out, "compare.json"),
         {
-            "levels": {format_float(p): {"a_db": a, "b_db": b, "delta_db": d}
-                       for p, a, b, d in rows},
+            "levels": {format_float(p): {"a_db": a, "b_db": b, "delta_db": a - b}
+                       for p, a, b in gains},
             "peak_delta_db": result_a.peak_gain_db - result_b.peak_gain_db,
         },
     )

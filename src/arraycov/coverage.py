@@ -11,14 +11,13 @@ import math
 import numpy as np
 
 from .errors import ParseError
-from .grid import SphericalGrid, regular_ring_structure
+from .grid import regular_ring_structure
 from .ioutil import parse_floats, table_rows, write_csv
 from .kernels import synth_max_accumulate
 from .pattern import ElementPatternSet
 from .synth import SynthesisPlan, element_gains, enumerate_weights
 
 WEIGHTING_SOLID_ANGLE = "solid-angle"
-WEIGHTING_SAMPLE_COUNT = "sample-count"
 
 # power gains below this are excluded from MAE cut comparisons
 MAE_FLOOR_DB = -60.0
@@ -107,29 +106,15 @@ class CoverageResult:
         return float(self.gain_db[-1])
 
 
-def direction_weights(grid: SphericalGrid, weighting=WEIGHTING_SOLID_ANGLE) -> np.ndarray:
-    """Each direction's weight in the coverage CDF over a full-sphere grid.
-
-    Solid-angle weighting (default) uses the grid weights; the
-    sample-count switch weights every direction equally, for
-    comparison on near-uniform grids.
-    """
+def coverage_cdf(gain_map: GainMap) -> CoverageResult:
+    """Solid-angle weighted empirical CDF of a full-sphere gain map."""
+    grid = gain_map.grid
     if not grid.is_full_sphere:
         raise ValueError("coverage requires a full-sphere grid")
-    if weighting == WEIGHTING_SOLID_ANGLE:
-        return grid.weight_sr
-    if weighting == WEIGHTING_SAMPLE_COUNT:
-        return np.ones(len(grid))
-    raise ValueError(f"unknown weighting {weighting!r}")
-
-
-def coverage_cdf(gain_map: GainMap, weighting=WEIGHTING_SOLID_ANGLE) -> CoverageResult:
-    """Weighted empirical CDF of a full-sphere gain map (see direction_weights)."""
-    weights = direction_weights(gain_map.grid, weighting)
     gain_db = gain_map.gain_db()
     order = np.argsort(gain_db, kind="stable")
     g_sorted = gain_db[order]
-    w_sorted = weights[order]
+    w_sorted = grid.weight_sr[order]
     # aggregate ties so gain_db comes out strictly increasing
     uniq, start = np.unique(g_sorted, return_index=True)
     w_agg = np.add.reduceat(w_sorted, start)
@@ -159,11 +144,6 @@ def percentile_gain(result: CoverageResult, p) -> float:
         return g_hi
     c_lo, c_hi = float(c[idx - 1]), float(c[idx])
     return g_lo + (p - c_lo) / (c_hi - c_lo) * (g_hi - g_lo)
-
-
-def compare_cdfs(x: CoverageResult, y: CoverageResult, levels) -> list:
-    """percentile_gain(x) - percentile_gain(y) at each level, in dB."""
-    return [percentile_gain(x, p) - percentile_gain(y, p) for p in levels]
 
 
 def mae_per_theta_cut(a: GainMap, b: GainMap, floor_db=MAE_FLOOR_DB) -> list:

@@ -191,7 +191,15 @@ def config_value(container, key, kind, default=_REQUIRED):
     )
 
 
+def _json_safe(value):
+    """value with each non-finite float, in nested dicts too, as format_float's string."""
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    return format_float(value) if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def write_json(path, payload) -> None:
+    """payload as RFC 8259 JSON: -inf, inf and NaN as "-inf", "inf" and "nan"."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_json_safe(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

@@ -7,10 +7,10 @@ whose key matches rebuilds the set from the entry. The entry is never
 an input: any entry that does not match or does not load is a miss,
 and it can be deleted at any time.
 
-The code is kept out of pattern.py so that no module compiles to more
-than cli.py: the largest compile of an import sets the heap the import
-leaves resident, and inside pattern.py this code raised the peak RSS of
-a run that compiles its sources by about 0.2 MiB.
+The code is kept out of pattern.py because the largest compile of an
+import sets the heap the import leaves resident: under tracemalloc,
+pattern.py compiles with a peak of 1.076 MiB and this module with
+0.245 MiB, while the two compiled as one module peak at 1.265 MiB.
 """
 
 import json

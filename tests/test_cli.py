@@ -1,5 +1,6 @@
 import ast
 import atexit
+import fnmatch
 import gc
 import importlib
 import io
@@ -18,11 +19,16 @@ import pytest
 
 from arraycov import cli, patterncache
 from arraycov.cli import main
-from arraycov.coverage import CDF_CSV_HEADER, load_cdf_csv
+from arraycov.coverage import (
+    CDF_CSV_HEADER,
+    CoverageResult,
+    load_cdf_csv,
+    percentile_gain,
+    save_cdf_csv,
+)
 from arraycov.deembed import LOSS_CSV_HEADER, load_loss_csv
 from arraycov.errors import ParseError
 from arraycov.grid import make_regular_grid
-from arraycov.ioutil import write_json
 from arraycov.materials import MATERIAL_CSV_HEADER, load_material_csv
 from arraycov.pattern import (
     PATTERN_CSV_HEADER,
@@ -46,8 +52,9 @@ def smooth_pattern(feeds, seed=0):
 
 
 def write_config(tmp_path, payload, name="config.json"):
+    # json.dumps, not write_json: a config under test may hold a NaN token
     path = tmp_path / name
-    write_json(path, payload)
+    path.write_text(json.dumps(payload))
     return str(path)
 
 
@@ -298,24 +305,72 @@ def test_compare_command(tmp_path):
     out = tmp_path / "cov"
     cfg = coverage_config(tmp_path, out)
     assert main(["coverage", "--config", cfg]) == 0
+    a = load_cdf_csv(out / "cdf.csv")
+    b = CoverageResult(a.gain_db - 2.0, a.cdf)
+    save_cdf_csv(b, tmp_path / "cdf_b.csv")
+    levels = [0.1, 0.5, 0.9]
     out_cmp = tmp_path / "cmp"
     cfg_cmp = write_config(
         tmp_path,
         {
             "cdf_a": str(out / "cdf.csv"),
-            "cdf_b": str(out / "cdf.csv"),
-            "levels": [0.1, 0.5, 0.9],
+            "cdf_b": str(tmp_path / "cdf_b.csv"),
+            "levels": levels,
             "output_dir": str(out_cmp),
         },
         name="compare.json",
     )
     assert main(["compare", "--config", cfg_cmp]) == 0
-    rows = (out_cmp / "compare.csv").read_text().splitlines()
-    assert rows[0] == "level,gain_a_db,gain_b_db,delta_db"
-    assert len(rows) == 4
-    for row in rows[1:]:
-        assert float(row.split(",")[3]) == 0.0
+    assert [p.name for p in out_cmp.iterdir()] == ["compare.json"]
     report = json.loads((out_cmp / "compare.json").read_text())
+    assert list(report["levels"]) == ["0.1", "0.5", "0.9"]
+    for p in levels:
+        row = report["levels"][str(p)]
+        assert row["a_db"] == percentile_gain(a, p)
+        assert row["b_db"] == percentile_gain(b, p)
+        assert row["delta_db"] == percentile_gain(a, p) - percentile_gain(b, p)
+        assert row["delta_db"] == pytest.approx(2.0, abs=1e-9)
+    assert report["peak_delta_db"] == pytest.approx(2.0, abs=1e-9)
+
+
+def _strict_json(path):
+    """path's JSON, rejecting the NaN, Infinity and -Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"non-RFC 8259 token {token}")
+
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
+def test_json_outputs_spell_non_finite_values_as_strings(tmp_path):
+    # zero gain on two thirds of the directions puts -inf dB below both
+    # levels; compare of that CDF with itself subtracts -inf from -inf
+    pset = smooth_pattern(["f0", "f1"], seed=2)
+    gains = pset.gains.copy()
+    gains[:, np.arange(len(GRID)) % 3 != 0] = 0.0
+    out = tmp_path / "cov"
+    cfg = write_config(
+        tmp_path,
+        {
+            "pattern": pattern_file(tmp_path, ElementPatternSet(GRID, pset.feeds, gains)),
+            "plan": {"bits": 2, "sub_arrays": [{"label": "s", "feeds": list(pset.feeds)}]},
+            "output_dir": str(out),
+        },
+    )
+    assert main(["coverage", "--config", cfg]) == 0
+    summary = _strict_json(out / "summary.json")
+    assert summary["median_gain_db"] == "-inf"
+    assert summary["percentile_gain_db"] == {"0.1": "-inf", "0.5": "-inf"}
+    assert math.isfinite(summary["peak_gain_db"])
+    out_cmp = tmp_path / "cmp"
+    cfg_cmp = write_config(
+        tmp_path,
+        {"cdf_a": str(out / "cdf.csv"), "cdf_b": str(out / "cdf.csv"),
+         "output_dir": str(out_cmp)},
+        name="compare.json",
+    )
+    assert main(["compare", "--config", cfg_cmp]) == 0
+    report = _strict_json(out_cmp / "compare.json")
+    assert report["levels"]["0.5"] == {"a_db": "-inf", "b_db": "-inf", "delta_db": "nan"}
     assert report["peak_delta_db"] == 0.0
 
 
@@ -325,7 +380,7 @@ def test_compare_command(tmp_path):
     ids=["nan_gain", "nan_cdf", "inf_gain"],
 )
 def test_compare_rejects_a_nan_or_inf_cdf_row(tmp_path, capsys, body, row):
-    # NaN passes no ordering check; it would reach compare.json as a bare NaN
+    # NaN passes no ordering check; it would reach compare.json as "nan"
     bad = tmp_path / "bad.csv"
     bad.write_text("gain_db,cdf\n" + body)
     out = tmp_path / "cmp"
@@ -608,16 +663,34 @@ def test_capacity_blowup_exits_2(tmp_path):
     assert not out.exists()
 
 
-def test_bad_weighting_exits_2_before_the_kernel(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        ({"levels": [1.5]}, "levels"),
+        ({"coverage_grid": {"kind": "uniform-sphere", "points": 40}, "cut_thetas_deg": [90]},
+         "cut_thetas_deg requires a regular coverage grid"),
+        ({"cut_thetas_deg": [45]}, "cut_thetas_deg: no theta ring at 45.0 degrees"),
+    ],
+    ids=["level_out_of_range", "cut_on_uniform_grid", "cut_theta_without_ring"],
+)
+def test_config_error_exits_2_before_the_kernel(tmp_path, monkeypatch, capsys, extra, named):
     def kernel(*args):
         raise AssertionError("max_gain_over_plan ran")
 
     monkeypatch.setattr(cli.cov, "max_gain_over_plan", kernel)
     out = tmp_path / "out"
-    cfg = coverage_config(tmp_path, out, extra={"weighting": "foo"})
+    cfg = coverage_config(tmp_path, out, extra=extra)
     assert main(["coverage", "--config", cfg]) == 2
-    assert "configuration error: unknown weighting 'foo'" in capsys.readouterr().err
+    assert f"configuration error: {named}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_weighting_key_is_ignored(tmp_path):
+    # an earlier version read it; every coverage CDF is solid-angle weighted
+    out = tmp_path / "out"
+    cfg = coverage_config(tmp_path, out, extra={"weighting": "sample-count"})
+    assert main(["coverage", "--config", cfg]) == 0
+    assert json.loads((out / "summary.json").read_text())["weighting"] == "solid-angle"
 
 
 def test_unknown_material_exits_2(tmp_path):
@@ -1195,19 +1268,19 @@ def _config_keys_read_by_cli():
     return keys
 
 
-def _readme_table_first_cells(header):
-    """The first cell of each row of the README table under header."""
+def _readme_table_rows(header):
+    """The cells of each row of the README table under header."""
     lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
     start = lines.index(header) + 2
     rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
-    return [line.split("|")[1] for line in rows]
+    return [line.split("|")[1:-1] for line in rows]
 
 
 def _readme_config_keys():
     """The backticked names in the key column of the README's key table."""
     keys = set()
-    for cell in _readme_table_first_cells("| key | kind | default | read by |"):
-        keys.update(re.findall(r"`([^`]+)`", cell))
+    for cells in _readme_table_rows("| key | kind | default | read by |"):
+        keys.update(re.findall(r"`([^`]+)`", cells[0]))
     return keys
 
 
@@ -1217,12 +1290,38 @@ def test_readme_key_table_lists_the_keys_the_cli_reads():
     assert _readme_config_keys() == keys
 
 
+SUBCOMMAND_TABLE = "| subcommand | inputs | outputs |"
+
+
 def test_readme_lists_the_subcommands_of_the_cli():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     usage = re.findall(r"^arraycov <([^>]+)> --config run.json$", readme, re.MULTILINE)
-    table = _readme_table_first_cells("| subcommand | inputs | outputs |")
+    table = _readme_table_rows(SUBCOMMAND_TABLE)
     assert usage == ["|".join(cli._COMMANDS)]
-    assert [cell.strip().strip("`") for cell in table] == list(cli._COMMANDS)
+    assert [cells[0].strip().strip("`") for cells in table] == list(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_readme_outputs_column_lists_the_files_a_subcommand_writes(tmp_path, command):
+    outputs = {
+        cells[0].strip().strip("`"): re.findall(r"`([^`]+)`", cells[2])
+        for cells in _readme_table_rows(SUBCOMMAND_TABLE)
+    }[command]
+    if command == "compare":
+        cdf = tmp_path / "cdf.csv"
+        cdf.write_text("gain_db,cdf\n0.0,0.5\n1.0,1.0\n")
+        config = {"cdf_a": str(cdf), "cdf_b": str(cdf)}
+    else:
+        config = {**runnable_config(tmp_path, command), "cut_thetas_deg": [90]}
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, {**config, "output_dir": str(out)})]) == 0
+    # each file is named by the first entry it matches, so a glob entry
+    # such as cut_theta_*.svg stands for the files it matches
+    named = {
+        next((entry for entry in outputs if fnmatch.fnmatchcase(p.name, entry)), p.name)
+        for p in out.iterdir()
+    }
+    assert named == set(outputs)
 
 
 @pytest.mark.parametrize("command", ["grid", "synth"])

@@ -7,11 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from arraycov.coverage import (
-    WEIGHTING_SAMPLE_COUNT,
-    WEIGHTING_SOLID_ANGLE,
     CoverageResult,
     GainMap,
-    compare_cdfs,
     coverage_cdf,
     load_cdf_csv,
     mae_per_theta_cut,
@@ -256,14 +253,10 @@ map_gains = st.sampled_from([0.0, 5e-324, 0.5, 1.0, 3.0]) | st.floats(0.0, 1e300
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    grid=st.sampled_from(CDF_GRIDS),
-    weighting=st.sampled_from([WEIGHTING_SOLID_ANGLE, WEIGHTING_SAMPLE_COUNT]),
-    data=st.data(),
-)
-def test_cdf_strictly_increasing_to_one_property(grid, weighting, data):
+@given(grid=st.sampled_from(CDF_GRIDS), data=st.data())
+def test_cdf_strictly_increasing_to_one_property(grid, data):
     gmap = GainMap(grid, data.draw(arrays(np.float64, len(grid), elements=map_gains)))
-    result = coverage_cdf(gmap, weighting=weighting)
+    result = coverage_cdf(gmap)
     np.testing.assert_array_equal(result.gain_db, np.unique(gmap.gain_db()))
     assert np.all(np.diff(result.gain_db) > 0.0)
     assert np.all(np.diff(result.cdf) > 0.0) and result.cdf[0] > 0.0
@@ -333,28 +326,6 @@ def test_coverage_requires_full_sphere():
     )
     with pytest.raises(ValueError, match="full-sphere"):
         coverage_cdf(GainMap(partial, np.ones(len(partial))))
-
-
-def test_weighting_switch():
-    grid = make_regular_grid(10.0, 30.0)
-    gmap = random_map(grid, seed=12)
-    weighted = coverage_cdf(gmap, weighting="solid-angle")
-    counted = coverage_cdf(gmap, weighting="sample-count")
-    # same support, different masses on a pole-heavy regular grid
-    np.testing.assert_array_equal(weighted.gain_db, counted.gain_db)
-    assert not np.allclose(weighted.cdf, counted.cdf)
-    with pytest.raises(ValueError):
-        coverage_cdf(gmap, weighting="other")
-
-
-def test_compare_cdfs():
-    grid = make_uniform_sphere_grid(80)
-    gmap = random_map(grid, seed=13)
-    a = coverage_cdf(gmap)
-    b = coverage_cdf(GainMap(grid, gmap.gain * 10 ** (-0.2)))  # -2 dB
-    levels = (0.1, 0.5, 0.9)
-    np.testing.assert_allclose(compare_cdfs(a, a, levels), 0.0, atol=1e-12)
-    np.testing.assert_allclose(compare_cdfs(a, b, levels), 2.0, atol=1e-9)
 
 
 def test_mae_identity_and_offset():
