@@ -29,7 +29,7 @@ from arraycov.materials import (
     Layer,
     LayerStack,
     MaterialRecord,
-    penetration_depth_for_eps,
+    penetration_depth_mm,
     skin_thickness_delta,
 )
 
@@ -44,9 +44,12 @@ A_GRID = np.linspace(3.8, 5.6, 3601)
 STYROFOAM = MaterialRecord("styrofoam", [F_GHZ], [1.03], [0.0])
 
 
+def _skin_record(eps: complex) -> MaterialRecord:
+    return MaterialRecord("skin-candidate", [F_GHZ], [eps.real], [-eps.imag])
+
+
 def _skin_stack(eps: complex, thickness_mm: float) -> LayerStack:
-    record = MaterialRecord("skin-candidate", [F_GHZ], [eps.real], [-eps.imag])
-    return LayerStack((Layer(record, thickness_mm),), substrate=STYROFOAM)
+    return LayerStack((Layer(_skin_record(eps), thickness_mm),), substrate=STYROFOAM)
 
 
 def _thickness_delta_db(eps: complex) -> float:
@@ -72,7 +75,7 @@ def fit() -> complex:
 
 def main():
     eps = fit()
-    depth = penetration_depth_for_eps(eps, F_GHZ)
+    depth = penetration_depth_mm(_skin_record(eps), F_GHZ)
     delta = _thickness_delta_db(eps)
     assert 0.92 <= depth <= 0.95, depth
     assert abs(abs(delta) - DELTA_TARGET_DB) <= 0.1, delta

@@ -12,7 +12,6 @@ import argparse
 import atexit
 import gc
 import json
-import math
 import os
 import sys
 
@@ -52,9 +51,6 @@ EXIT_CODES = (
 )
 
 DEFAULT_LEVELS = (0.1, 0.5)
-
-# most points a frequencies_ghz sweep may ask for
-MAX_SWEEP_POINTS = 100_000
 
 
 def _load_config(path):
@@ -139,7 +135,7 @@ def _windows(config, feeds):
 
 
 def _material(spec, key, what, default=None):
-    """The material a builtin name or a {"path", "name"} object names."""
+    """The material a builtin name or a {"path"} object names."""
     from . import materials
 
     ref = config_value(spec, key, ("str", "object"), default)
@@ -151,7 +147,7 @@ def _material(spec, key, what, default=None):
     path = config_value(ref, "path", "str")
     if not os.path.isfile(path):
         raise ConfigError(f"{what}: material file not found: {path}")
-    return materials.load_material_csv(path, name=config_value(ref, "name", "str", None))
+    return materials.load_material_csv(path)
 
 
 def _stack(config):
@@ -177,21 +173,10 @@ def _stack(config):
 
 
 def _frequencies(config):
-    spec = config_value(config, "frequencies_ghz", ("number list", "object"))
-    if isinstance(spec, list):
-        if not spec:
-            raise ConfigError("frequencies_ghz must be a non-empty list")
-        return spec
-    start, stop, step = (config_value(spec, k, "number") for k in ("start", "stop", "step"))
-    if step <= 0.0 or stop < start:
-        raise ConfigError(f"bad frequencies_ghz sweep: start={start} stop={stop} step={step}")
-    span = (stop - start) / step
-    if not math.isfinite(span) or round(span) >= MAX_SWEEP_POINTS:
-        raise ConfigError(
-            f"frequencies_ghz sweep start={start} stop={stop} step={step} "
-            f"has more than {MAX_SWEEP_POINTS} points"
-        )
-    return [start + i * step for i in range(round(span) + 1)]
+    freqs = config_value(config, "frequencies_ghz", "number list")
+    if not freqs or not all(f > 0.0 for f in freqs):
+        raise ConfigError(f"frequencies_ghz must be a non-empty list above 0, got {freqs}")
+    return freqs
 
 
 def _load_pattern_input(config):
@@ -220,7 +205,6 @@ def cmd_deembed(config) -> int:
         measured,
         windows,
         floor_db=config_value(config, "floor_db", "number", deembed.DEFAULT_FLOOR_DB),
-        linear_mean=config_value(config, "linear_mean", "bool", False),
     )
     out = _output_dir(config)
     deembed.save_loss_csv(table, os.path.join(out, "losses.csv"))
@@ -316,12 +300,9 @@ def cmd_reflect(config) -> int:
     freqs = _frequencies(config)
     incidence = config_value(config, "incidence_deg", "number", 0.0)
     polarization = config_value(config, "polarization", "str", materials.POL_TE)
-    extrapolate = config_value(config, "extrapolate", "bool", False)
     rows = []
     for f in freqs:
-        gamma = materials.layered_reflection(
-            stack, f, incidence, polarization, extrapolate=extrapolate
-        )
+        gamma = materials.layered_reflection(stack, f, incidence, polarization)
         rows.append((f, gamma.real, gamma.imag, materials.reflection_db(gamma)))
     out = _output_dir(config)
     write_csv(

@@ -65,14 +65,13 @@ def estimate_losses(
     measured: ElementPatternSet,
     windows: dict,
     floor_db=DEFAULT_FLOOR_DB,
-    linear_mean=False,
 ) -> PortLossTable:
     """Per-feed mean main-beam dB difference, simulated minus measured.
 
     windows maps feed label to BeamWindow. Directions where either
-    power gain sits below floor_db are excluded. linear_mean switches
-    to the ratio of window-mean linear powers instead of the mean of
-    dB differences (default off, the literal reading of the method).
+    power gain sits below floor_db are excluded. The loss is the mean
+    of the per-direction dB differences, the literal reading of the
+    method.
     """
     if not simulated.grid.same_directions(measured.grid):
         raise ValueError("simulated and measured sets must share a grid")
@@ -93,12 +92,8 @@ def estimate_losses(
             raise EstimationError(
                 f"no usable directions in the beam window for feed {feed}"
             )
-        if linear_mean:
-            loss = 10.0 * math.log10(p_sim[mask].mean() / p_meas[mask].mean())
-        else:
-            diff = 10.0 * (np.log10(p_sim[mask]) - np.log10(p_meas[mask]))
-            loss = float(diff.mean())
-        losses[feed] = loss
+        diff = 10.0 * (np.log10(p_sim[mask]) - np.log10(p_meas[mask]))
+        losses[feed] = float(diff.mean())
         halfwidths[feed] = window.half_width_deg
     return PortLossTable(tuple(simulated.feeds), losses, halfwidths)
 

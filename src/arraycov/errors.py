@@ -36,4 +36,4 @@ class EstimationError(ArraycovError):
 
 
 class MaterialRangeError(ArraycovError):
-    """Frequency outside a material record's tabulated range without extrapolation."""
+    """Frequency outside a multi-row material record's tabulated range."""

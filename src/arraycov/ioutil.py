@@ -133,14 +133,11 @@ def parse_floats(cells, path, row, finite=False):
     return values
 
 
-def float_table(path, header, finite=False):
-    """The columns of an all-numeric CSV table, as one (columns, rows)
-    float array; ParseError where parse_floats fails or the table has
-    no data rows."""
-    rows = [
-        parse_floats(cells, path, row, finite=finite)
-        for row, cells in table_rows(path, header)
-    ]
+def float_table(path, header):
+    """The columns of a CSV table of finite numbers, as one (columns, rows)
+    float array; ParseError at a cell that is not a finite number, or
+    where the table has no data rows."""
+    rows = [parse_floats(cells, path, row, finite=True) for row, cells in table_rows(path, header)]
     if not rows:
         raise ParseError("no entries", path=path)
     return np.array(rows).T

@@ -40,6 +40,9 @@ class MaterialRecord:
         ei = np.atleast_1d(np.asarray(eps_imag, dtype=np.float64))
         if not (f.shape == er.shape == ei.shape) or f.ndim != 1 or f.size == 0:
             raise ValueError("record arrays must be 1-D and equally sized")
+        # NaN fails every ordering check below, and inf passes eps' >= 1
+        if not all(np.isfinite(arr).all() for arr in (f, er, ei)):
+            raise ValueError("record values must be finite")
         if f.size > 1 and np.any(np.diff(f) <= 0.0):
             raise ValueError("frequencies must be strictly increasing")
         if np.any(er < 1.0):
@@ -54,28 +57,21 @@ class MaterialRecord:
 AIR = MaterialRecord("air", [1.0], [1.0], [0.0])
 
 
-def permittivity_at(material: MaterialRecord, f_ghz, extrapolate=False) -> complex:
+def permittivity_at(material: MaterialRecord, f_ghz) -> complex:
     """eps' - j*eps'' at f_ghz, linear per component.
 
     Single-row records are constants at any frequency. Multi-row
-    records interpolate inside their range; outside it, the edge-slope
-    extension is used only when extrapolate is set, otherwise a range
-    error is raised.
+    records interpolate inside their range and raise a range error,
+    naming the material, outside it.
     """
     f = float(f_ghz)
     freqs = material.frequency_ghz
     if freqs.size == 1:
         return complex(material.eps_real[0], -material.eps_imag[0])
     if not (freqs[0] <= f <= freqs[-1]):
-        if not extrapolate:
-            raise MaterialRangeError(
-                f"{material.name}: {f} GHz outside [{freqs[0]}, {freqs[-1]}] GHz"
-            )
-        lo, hi = (0, 1) if f < freqs[0] else (freqs.size - 2, freqs.size - 1)
-        t = (f - freqs[lo]) / (freqs[hi] - freqs[lo])
-        er = material.eps_real[lo] + t * (material.eps_real[hi] - material.eps_real[lo])
-        ei = material.eps_imag[lo] + t * (material.eps_imag[hi] - material.eps_imag[lo])
-        return complex(er, -ei)
+        raise MaterialRangeError(
+            f"{material.name}: {f} GHz outside [{freqs[0]}, {freqs[-1]}] GHz"
+        )
     er = float(np.interp(f, freqs, material.eps_real))
     ei = float(np.interp(f, freqs, material.eps_imag))
     return complex(er, -ei)
@@ -91,24 +87,13 @@ def _refraction_root(eps: complex) -> complex:
     return -root if root.imag < 0.0 else root
 
 
-def penetration_depth_for_eps(eps, f_ghz) -> float:
-    """delta = 1/alpha for an arbitrary complex permittivity, in mm."""
-    n_imag = _refraction_root(complex(eps)).imag
+def penetration_depth_mm(material: MaterialRecord, f_ghz) -> float:
+    """1/e field-decay depth delta = 1/alpha, in millimeters."""
+    n_imag = _refraction_root(permittivity_at(material, f_ghz)).imag
     alpha = _k0_rad_per_mm(float(f_ghz)) * n_imag
     if alpha <= 0.0:
-        raise ValueError(f"lossless permittivity {eps}; penetration depth undefined")
+        raise ValueError(f"{material.name} is lossless; penetration depth undefined")
     return 1.0 / alpha
-
-
-def penetration_depth_mm(material: MaterialRecord, f_ghz, extrapolate=False) -> float:
-    """1/e field-decay depth delta = 1/alpha, in millimeters."""
-    eps = permittivity_at(material, f_ghz, extrapolate=extrapolate)
-    try:
-        return penetration_depth_for_eps(eps, f_ghz)
-    except ValueError:
-        raise ValueError(
-            f"{material.name} is lossless; penetration depth undefined"
-        ) from None
 
 
 class Layer:
@@ -150,7 +135,7 @@ def _interface(kz_i, kz_j, eps_i, eps_j, polarization) -> complex:
 
 
 def layered_reflection(
-    stack: LayerStack, f_ghz, incidence_deg=0.0, polarization=POL_TE, extrapolate=False
+    stack: LayerStack, f_ghz, incidence_deg=0.0, polarization=POL_TE
 ) -> complex:
     """Complex reflection coefficient of the stack at one frequency.
 
@@ -165,7 +150,7 @@ def layered_reflection(
 
     media = [stack.incident] + [layer.material for layer in stack.layers]
     media.append(stack.substrate)
-    eps = [permittivity_at(m, f, extrapolate=extrapolate) for m in media]
+    eps = [permittivity_at(m, f) for m in media]
     eps_inc = eps[0]
     sin2 = math.sin(math.radians(theta0)) ** 2
     kz = [_kz(e, eps_inc, sin2, k0) for e in eps]
@@ -196,7 +181,7 @@ MATERIAL_CSV_HEADER = ["frequency_ghz", "eps_real", "eps_imag"]
 def load_material_csv(path, name=None) -> MaterialRecord:
     if name is None:
         name = os.path.splitext(os.path.basename(os.fspath(path)))[0]
-    freqs, er, ei = float_table(path, MATERIAL_CSV_HEADER, finite=True)
+    freqs, er, ei = float_table(path, MATERIAL_CSV_HEADER)
     try:
         return MaterialRecord(name, freqs, er, ei)
     except ValueError as exc:

@@ -11,7 +11,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +88,28 @@ def test_deembed_command(tmp_path):
     got = {r.split(",")[0]: float(r.split(",")[1]) for r in rows[1:]}
     for feed, expected in losses.items():
         assert got[feed] == pytest.approx(expected, abs=1e-9)
+
+
+def test_deembed_ignores_an_earlier_versions_linear_mean(tmp_path):
+    # on an offset that varies over the window, the ratio of linear means
+    # that linear_mean once chose differs from the mean of dB differences
+    sim = smooth_pattern(["p1"], seed=1)
+    rng = np.random.default_rng(13)
+    meas = ElementPatternSet(
+        GRID, sim.feeds, sim.gains * 0.3 * (1.0 + 0.4 * rng.uniform(size=sim.gains.shape))
+    )
+    config = {
+        "simulated": pattern_file(tmp_path, sim, "sim.csv"),
+        "measured": pattern_file(tmp_path, meas, "meas.csv"),
+        "windows": {"p1": {"center_theta_deg": 90.0}},
+    }
+    written = []
+    for name, extra in [("plain", {}), ("linear", {"linear_mean": True})]:
+        out = tmp_path / name
+        cfg = write_config(tmp_path, {**config, **extra, "output_dir": str(out)}, f"{name}.json")
+        assert main(["deembed", "--config", cfg]) == 0
+        written.append((out / "losses.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 def coverage_config(tmp_path, out, extra=None, feeds=("f0", "f1"), seed=2):
@@ -409,7 +430,7 @@ def test_reflect_film(tmp_path):
 
 
 def test_reflect_reads_a_material_file(tmp_path):
-    # a {"path", "name"} reference to a copy of a builtin gives its bytes
+    # a {"path"} reference to a copy of a builtin gives its bytes
     film = tmp_path / "film.csv"
     film.write_text("frequency_ghz,eps_real,eps_imag\n28.0,2.3,0.0\n")
     for name, material in [("builtin", "ldpe_film"), ("file", {"path": str(film)})]:
@@ -447,7 +468,7 @@ def test_reflect_sweep(tmp_path):
         tmp_path,
         {
             "stack": {"layers": [{"material": "ldpe_film", "thickness_mm": 0.1}]},
-            "frequencies_ghz": {"start": 26.0, "stop": 30.0, "step": 2.0},
+            "frequencies_ghz": [26.0, 28.0, 30.0],
             "output_dir": str(out),
         },
     )
@@ -456,36 +477,38 @@ def test_reflect_sweep(tmp_path):
     assert [float(r.split(",")[0]) for r in rows[1:]] == [26.0, 28.0, 30.0]
 
 
-@pytest.mark.parametrize(
-    "sweep",
-    [
-        {"start": -1e308, "stop": 1e308, "step": 1e308},
-        {"start": 26.0, "stop": 30.0, "step": 4e-6},
-    ],
-    ids=["span_overflows", "tiny_step"],
-)
-def test_oversized_frequency_sweep_exits_2(tmp_path, capsys, sweep):
+def test_reflect_outside_a_material_files_range_exits_4(tmp_path, capsys):
+    # a multi-row record has no value outside its rows' range, and an
+    # earlier version's extrapolate key does not give it one; the record
+    # is named by the file's stem, whatever name the object sets
+    narrow = tmp_path / "narrow.csv"
+    narrow.write_text("frequency_ghz,eps_real,eps_imag\n10.0,2.0,0.1\n20.0,2.5,0.2\n")
     out = tmp_path / "out"
     cfg = write_config(
         tmp_path,
         {
-            "stack": {"layers": [{"material": "ldpe_film", "thickness_mm": 0.1}]},
-            "frequencies_ghz": sweep,
+            "stack": {"layers": [{"material": {"path": str(narrow), "name": "other"},
+                                  "thickness_mm": 1.0}]},
+            "frequencies_ghz": [15.0, 28.0],
+            "extrapolate": True,
             "output_dir": str(out),
         },
     )
-    # the tiny step's 1e6-point list is never built
-    tracemalloc.start()
-    try:
-        assert main(["reflect", "--config", cfg]) == 2
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    assert main(["reflect", "--config", cfg]) == 4
     err = capsys.readouterr().err
-    assert "configuration error: frequencies_ghz sweep" in err
-    assert f"more than {cli.MAX_SWEEP_POINTS} points" in err
+    assert "numeric error: narrow: 28.0 GHz outside [10.0, 20.0] GHz" in err
     assert not out.exists()
+
+
+def test_readme_reflection_config_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```json\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+    (config,) = [json.loads(b) for b in blocks if '"stack"' in b]
+    out = tmp_path / "reflect"
+    cfg = write_config(tmp_path, {**config, "output_dir": str(out)})
+    assert main(["reflect", "--config", cfg]) == 0
+    rows = (out / "reflection.csv").read_text().splitlines()
+    assert [float(r.split(",")[0]) for r in rows[1:]] == config["frequencies_ghz"]
 
 
 def test_missing_config_exits_2(tmp_path):
@@ -743,8 +766,6 @@ def runnable_config(tmp_path, command):
         ("reflect", ("incidence_deg",), None),
         ("coverage", ("plan", "bits"), 2.5),
         ("coverage", ("plan", "bits"), True),
-        ("deembed", ("linear_mean",), "false"),
-        ("reflect", ("extrapolate",), "false"),
         ("coverage", ("cut_thetas_deg",), "90"),
         ("coverage", ("plan", "sub_arrays", 0, "feeds"), "ab"),
         ("reflect", ("frequencies_ghz",), [math.nan]),
@@ -752,8 +773,7 @@ def runnable_config(tmp_path, command):
         ("reflect", ("stack", "layers", 0, "thickness_mm"), 10**400),
     ],
     ids=["theta_step_str", "thickness_null", "frequency_null", "incidence_null",
-         "bits_float", "bits_bool", "linear_mean_str", "extrapolate_str",
-         "cut_thetas_str", "feeds_str", "frequency_nan",
+         "bits_float", "bits_bool", "cut_thetas_str", "feeds_str", "frequency_nan",
          "floor_db_nan", "thickness_401_digits"],
 )
 def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, path, value):
@@ -803,11 +823,13 @@ CONFIG_ERRORS = {
         "stack layer 0: material file not found",
     ),
     "empty_frequencies": ("reflect", {"frequencies_ghz": []}, "frequencies_ghz"),
-    "backward_sweep": (
+    "sweep_object": (
         "reflect",
-        {"frequencies_ghz": {"start": 30.0, "stop": 26.0, "step": 1.0}},
-        "frequencies_ghz",
+        {"frequencies_ghz": {"start": 26.0, "stop": 30.0, "step": 1.0}},
+        "config key 'frequencies_ghz' must be a list of finite numbers",
     ),
+    "zero_frequency": ("reflect", {"frequencies_ghz": [28.0, 0]}, "frequencies_ghz"),
+    "negative_frequency": ("reflect", {"frequencies_ghz": [-28.0]}, "frequencies_ghz"),
     "loss_table_misses_a_feed": ("coverage", _loss_table_of_feed_a, "loss_table"),
     "no_beam_window": ("deembed", {"windows": {}}, "feed 'f0'"),
     "cut_on_uniform_grid": (
@@ -1286,7 +1308,7 @@ def _readme_config_keys():
 
 def test_readme_key_table_lists_the_keys_the_cli_reads():
     keys = _config_keys_read_by_cli()
-    assert {"output_dir", "pattern", "loss_table", "coverage_grid", "extrapolate"} <= keys
+    assert {"output_dir", "pattern", "loss_table", "coverage_grid", "polarization"} <= keys
     assert _readme_config_keys() == keys
 
 

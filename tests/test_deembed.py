@@ -186,27 +186,6 @@ def test_missing_feed_in_table_raises():
         apply_losses(measured, table)
 
 
-def test_linear_mean_switch():
-    feeds = ("1V",)
-    simulated = smooth_set(feeds, seed=12)
-    measured = attenuate(simulated, {"1V": 10.7})
-    windows = boresight_windows(feeds)
-    # constant offset: both definitions agree
-    a = estimate_losses(simulated, measured, windows, linear_mean=False)
-    b = estimate_losses(simulated, measured, windows, linear_mean=True)
-    assert a.loss("1V") == pytest.approx(b.loss("1V"), abs=1e-9)
-    # non-constant difference: they may not
-    rng = np.random.default_rng(13)
-    bumpy = ElementPatternSet(
-        measured.grid,
-        feeds,
-        measured.gains * (1.0 + 0.4 * rng.uniform(size=measured.gains.shape)),
-    )
-    a = estimate_losses(simulated, bumpy, windows, linear_mean=False)
-    b = estimate_losses(simulated, bumpy, windows, linear_mean=True)
-    assert a.loss("1V") != pytest.approx(b.loss("1V"), abs=1e-6)
-
-
 def test_loss_csv_round_trip(tmp_path):
     feeds = tuple(PORT_LOSSES_DB)
     table = PortLossTable(

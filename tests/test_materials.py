@@ -2,6 +2,7 @@ import cmath
 import importlib.util
 import math
 import os
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from arraycov.materials import (
     builtin_material,
     layered_reflection,
     load_material_csv,
-    penetration_depth_for_eps,
     penetration_depth_mm,
     permittivity_at,
     reflection_db,
@@ -68,12 +68,6 @@ def test_out_of_range_raises_without_flag():
             permittivity_at(rec, f)
 
 
-def test_extrapolation_uses_edge_slope():
-    rec = MaterialRecord("two-point", [10.0, 20.0], [20.0, 16.0], [12.0, 10.0])
-    assert permittivity_at(rec, 25.0, extrapolate=True) == pytest.approx(14.0 - 9.0j)
-    assert permittivity_at(rec, 5.0, extrapolate=True) == pytest.approx(22.0 - 13.0j)
-
-
 def test_single_row_record_is_constant():
     rec = MaterialRecord("flat", [28.0], [4.0], [0.5])
     for f in (1.0, 28.0, 100.0):
@@ -89,6 +83,16 @@ def test_record_validation():
         MaterialRecord("bad", [10.0], [2.0], [-0.1])  # eps'' < 0
     with pytest.raises(ValueError):
         MaterialRecord("bad", [10.0, 20.0], [2.0], [0.0])  # ragged
+    # NaN fails every ordering check above and inf passes eps' >= 1
+    for f, er, ei in [
+        ([math.nan], [math.nan], [0.0]),
+        ([10.0, math.nan, 30.0], [2.0, 2.0, 2.0], [0.0, 0.0, 0.0]),
+        ([10.0, math.inf], [2.0, 2.0], [0.0, 0.0]),
+        ([10.0], [math.inf], [0.0]),
+        ([10.0], [2.0], [math.inf]),
+    ]:
+        with pytest.raises(ValueError, match="finite"):
+            MaterialRecord("bad", f, er, ei)
 
 
 # ---- penetration depth ----
@@ -100,10 +104,11 @@ def test_lossless_depth_is_an_error():
 
 
 def test_pure_imaginary_eps_analytic_depth():
-    # sqrt(-2j) = 1 - 1j, so alpha = k0 exactly and delta = c / (2 pi f)
+    # sqrt(3 - 4j) = 2 - 1j, so alpha = k0 exactly and delta = c / (2 pi f)
     f = 28.0
     expected = C_MM_PER_S / (2.0 * math.pi * f * 1e9)
-    assert penetration_depth_for_eps(-2j, f) == pytest.approx(expected, rel=1e-12)
+    rec = MaterialRecord("analytic", [f], [3.0], [4.0])
+    assert penetration_depth_mm(rec, f) == pytest.approx(expected, rel=1e-12)
 
 
 def test_skin_depth_lands_in_reference_band():
@@ -244,10 +249,8 @@ def test_reflection_input_validation():
 def test_range_error_propagates_through_stack():
     narrow = MaterialRecord("narrow", [10.0, 20.0], [2.0, 2.0], [0.1, 0.1])
     stack = LayerStack((Layer(narrow, 1.0),))
-    with pytest.raises(MaterialRangeError):
+    with pytest.raises(MaterialRangeError, match="narrow"):
         layered_reflection(stack, 28.0)
-    gamma = layered_reflection(stack, 28.0, extrapolate=True)
-    assert abs(gamma) <= 1.0
 
 
 # ---- persistence ----
@@ -292,7 +295,7 @@ def test_builtin_materials():
         builtin_material("unobtainium")
 
 
-def test_skin_fit_script_reproduces_shipped_record():
+def test_skin_fit_script_reproduces_shipped_record(capsys):
     path = os.path.join(os.path.dirname(__file__), "..", "scripts", "fit_skin_permittivity.py")
     spec = importlib.util.spec_from_file_location("fit_skin_permittivity", path)
     script = importlib.util.module_from_spec(spec)
@@ -301,3 +304,10 @@ def test_skin_fit_script_reproduces_shipped_record():
     # the record stores eps = eps_real - j*eps_imag
     assert (eps.real, -eps.imag) == (SKIN.eps_real[0], SKIN.eps_imag[0])
     assert SKIN.frequency_ghz.tolist() == [script.F_GHZ]
+    # main checks the fitted depth and delta against their targets, then
+    # prints the shipped file's rows
+    script.main()
+    out = capsys.readouterr().out.splitlines()
+    shipped = resources.files("arraycov").joinpath("data/materials/skin_28ghz.csv")
+    assert out[-2:] == shipped.read_text().splitlines()
+    assert "penetration depth: 0.9350 mm" in "\n".join(out)
