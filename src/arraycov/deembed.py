@@ -98,32 +98,26 @@ def estimate_losses(
     return PortLossTable(tuple(simulated.feeds), losses, halfwidths)
 
 
-def _factors(measured, table):
-    """Each feed's field factor 10^(loss/20), shaped to scale the gains;
-    KeyError for a feed the table lacks."""
-    factors = [10.0 ** (table.loss(feed) / 20.0) for feed in measured.feeds]
-    return np.array(factors)[:, np.newaxis, np.newaxis]
-
-
 def apply_losses(measured: ElementPatternSet, table: PortLossTable) -> ElementPatternSet:
     """Scale each feed's complex samples by 10^(loss/20).
 
     Polarization ratios and phases are unchanged; every power gain of
     feed f moves up by exactly loss_f dB.
     """
-    gains = measured.gains * _factors(measured, table)
-    return ElementPatternSet(measured.grid, measured.feeds, gains)
+    copy = ElementPatternSet(measured.grid, measured.feeds, measured.gains.copy())
+    return apply_losses_in_place(copy, table)
 
 
 def apply_losses_in_place(measured: ElementPatternSet, table: PortLossTable) -> ElementPatternSet:
     """apply_losses for a caller that holds the only reference to measured:
     its gains are scaled where they are, so no second copy is alive, and
     measured must not be used afterwards. Every factor is computed before
-    the first write, so a KeyError leaves the gains as they were."""
-    factors = _factors(measured, table)
+    the first write, so a KeyError, for a feed the table lacks, leaves
+    the gains as they were."""
+    factors = [10.0 ** (table.loss(feed) / 20.0) for feed in measured.feeds]
     gains = measured.gains
     gains.flags.writeable = True
-    np.multiply(gains, factors, out=gains)  # the multiply apply_losses runs
+    np.multiply(gains, np.array(factors)[:, np.newaxis, np.newaxis], out=gains)
     return ElementPatternSet(measured.grid, measured.feeds, gains)
 
 

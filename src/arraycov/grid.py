@@ -58,8 +58,8 @@ class Direction:
     """A direction on the sphere: polar angle theta (0 = +z), azimuth phi.
 
     phi is normalized into [0, 360); at the poles every phi denotes the
-    same direction, so phi collapses to 0 there and pole directions
-    compare equal regardless of the phi they were built with.
+    same direction, so phi collapses to 0 there, whatever phi the
+    direction was built with.
     """
 
     __slots__ = ("theta_deg", "phi_deg")
@@ -71,14 +71,6 @@ class Direction:
             raise ValueError(f"direction out of range: theta={theta}, phi={phi}")
         self.theta_deg = theta
         self.phi_deg = 0.0 if _is_pole(theta) else phi % 360.0
-
-    def __eq__(self, other):
-        if not isinstance(other, Direction):
-            return NotImplemented
-        return (self.theta_deg, self.phi_deg) == (other.theta_deg, other.phi_deg)
-
-    def __hash__(self):
-        return hash((self.theta_deg, self.phi_deg))
 
 
 class SphericalGrid:

@@ -153,7 +153,6 @@ _CONFIG_KINDS = {
     "number": ("a finite number", "finite numbers",
                lambda v: (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max),
     "int": ("an integer", "integers", _is_int),
-    "bool": ("true or false", "booleans", lambda v: isinstance(v, bool)),
     "str": ("a string", "strings", lambda v: isinstance(v, str)),
     "object": ("an object", "objects", lambda v: isinstance(v, dict)),
 }

@@ -141,6 +141,8 @@ def layered_reflection(
 
     Recursive combination from the substrate outward:
     Gamma_i = (r_i + Gamma_{i+1} e^{-2j kz d}) / (1 + r_i Gamma_{i+1} e^{-2j kz d}).
+    Raises ArithmeticError, naming f_ghz, if Gamma is not finite (a
+    frequency so high that the wavenumbers overflow).
     """
     theta0 = float(incidence_deg)
     if not (0.0 <= theta0 < 90.0):
@@ -160,12 +162,15 @@ def layered_reflection(
         r = _interface(kz[i], kz[i + 1], eps[i], eps[i + 1], polarization)
         phase = cmath.exp(-2j * kz[i + 1] * stack.layers[i].thickness_mm)
         gamma = (r + gamma * phase) / (1.0 + r * gamma * phase)
+    if not cmath.isfinite(gamma):
+        raise ArithmeticError(f"reflection at {f} GHz is not finite")
     return gamma
 
 
 def reflection_db(gamma: complex) -> float:
     mag = abs(gamma)
-    return 20.0 * math.log10(mag) if mag > 0.0 else -math.inf
+    # log10 keeps a NaN a NaN; only an exact zero is -inf
+    return -math.inf if mag == 0.0 else 20.0 * math.log10(mag)
 
 
 def skin_thickness_delta(stack_a: LayerStack, stack_b: LayerStack, f_ghz) -> float:

@@ -236,21 +236,23 @@ def test_import_arraycov_loads_no_numpy():
     # the command line sets the BLAS thread count before numpy loads
     code = (
         "import sys, arraycov; "
-        "print('numpy' in sys.modules, arraycov.GainMap.__module__)"
+        "print('numpy' in sys.modules, "
+        "sorted(m for m in sys.modules if m.startswith('arraycov.')))"
     )
-    assert run_child(code) == ["False", "arraycov.coverage"]
+    assert run_child(code) == ["False", "[]"]
 
 
-def test_every_public_name_resolves_to_its_module_object(monkeypatch):
-    # the README's `from arraycov import ...` goes through the lazy lookup
-    import arraycov
-
-    for name in arraycov.__all__:
-        monkeypatch.delitem(vars(arraycov), name, raising=False)
-        module = importlib.import_module(f"arraycov.{arraycov._MODULE_OF[name]}")
-        assert getattr(arraycov, name) is getattr(module, name), name
-    with pytest.raises(AttributeError, match="has no attribute 'absent'"):
-        arraycov.absent
+def test_package_root_exports_only_its_modules():
+    # a public name has one import path: its module
+    code = (
+        "try:\n"
+        "    from arraycov import load_pattern_csv\n"
+        "except ImportError:\n"
+        "    print('ImportError')\n"
+        "from arraycov import cli, pattern\n"
+        "print(cli.__name__, pattern.load_pattern_csv.__module__)"
+    )
+    assert run_child(code) == ["ImportError", "arraycov.cli", "arraycov.pattern"]
 
 
 @pytest.mark.parametrize("preset", [None, *BLAS_THREAD_VARS])
@@ -500,6 +502,26 @@ def test_reflect_outside_a_material_files_range_exits_4(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_reflect_non_finite_reflection_exits_4(tmp_path, capsys):
+    out = tmp_path / "out"
+    stack = {"layers": [{"material": "skin_28ghz", "thickness_mm": 5.0}],
+             "substrate": "styrofoam"}
+    cfg = write_config(
+        tmp_path, {"stack": stack, "frequencies_ghz": [28.0, 1e300], "output_dir": str(out)}
+    )
+    assert main(["reflect", "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert "numeric error: reflection at 1e+300 GHz is not finite" in err
+    assert not out.exists()
+    # 1e200 GHz does not overflow: its row is finite
+    cfg = write_config(
+        tmp_path, {"stack": stack, "frequencies_ghz": [1e200], "output_dir": str(out)}
+    )
+    assert main(["reflect", "--config", cfg]) == 0
+    (row,) = (out / "reflection.csv").read_text().splitlines()[1:]
+    assert all(math.isfinite(float(cell)) for cell in row.split(","))
+
+
 def test_readme_reflection_config_runs(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"^```json\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
@@ -509,6 +531,16 @@ def test_readme_reflection_config_runs(tmp_path):
     assert main(["reflect", "--config", cfg]) == 0
     rows = (out / "reflection.csv").read_text().splitlines()
     assert [float(r.split(",")[0]) for r in rows[1:]] == config["frequencies_ghz"]
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"^```python\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+    feeds = [f"{i}{'V' if i % 2 else 'H'}" for i in range(1, 9)]
+    save_pattern_csv(smooth_pattern(feeds, seed=3), tmp_path / "elements.csv")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    assert math.isfinite(float(capsys.readouterr().out))
 
 
 def test_missing_config_exits_2(tmp_path):

@@ -122,6 +122,23 @@ def test_zero_loss_is_identity():
     np.testing.assert_array_equal(restored.gains, measured.gains)
 
 
+def test_apply_losses_is_one_multiply_on_a_copy():
+    feeds = tuple(PORT_LOSSES_DB)
+    measured = smooth_set(feeds, seed=12)
+    before = measured.gains.copy()
+    # the table lists the feeds in another order, and one more
+    table_feeds = ("9V", *reversed(feeds))
+    losses = {f: PORT_LOSSES_DB.get(f, 1.0) for f in table_feeds}
+    table = PortLossTable(table_feeds, losses, {f: 60.0 for f in table_feeds})
+    restored = apply_losses(measured, table)
+    factors = np.array([10.0 ** (losses[f] / 20.0) for f in feeds])
+    expected = measured.gains * factors[:, None, None]
+    assert restored.gains.tobytes() == expected.tobytes()
+    assert measured.gains.tobytes() == before.tobytes()
+    assert not measured.gains.flags.writeable
+    assert not np.shares_memory(restored.gains, measured.gains)
+
+
 def test_floor_excludes_nulls():
     feeds = ("1V",)
     simulated = smooth_set(feeds, seed=7)

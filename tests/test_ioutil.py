@@ -153,18 +153,22 @@ def test_loss_csv_round_trip_bit_exact(tmp_path_factory, rows):
     same_bits([loaded.window_halfwidth_deg[f] for f in feeds], [r[2] for r in rows])
 
 
+# explicit ids: adding or removing a case renames no other
 @pytest.mark.parametrize(
     "kind, good, bad",
     [
-        ("number", [0, -3, 2.5, 1e308, 10**300], [True, False, math.nan, math.inf,
-                                                  -math.inf, 10**309, "1", None, [1.0]]),
-        ("int", [0, -1, 10**400], [True, 2.0, 2.5, "2", None]),
-        ("bool", [True, False], [0, 1, "false", None]),
-        ("str", ["", "ab"], [1, None, ["a"]]),
-        ("object", [{}, {"a": 1}], [[], "a", None]),
-        ("number list", [[], [1, 2.5]], ["90", [math.nan], [True], 1.0, None]),
-        ("str list", [[], ["a", "b"]], ["ab", [1], None]),
-        ("object list", [[{}]], [{}, [[]], [None]]),
+        pytest.param("number", [0, -3, 2.5, 1e308, 10**300],
+                     [True, False, math.nan, math.inf, -math.inf, 10**309, "1", None, [1.0]],
+                     id="number-good0-bad0"),
+        pytest.param("int", [0, -1, 10**400], [True, 2.0, 2.5, "2", None],
+                     id="int-good1-bad1"),
+        pytest.param("str", ["", "ab"], [1, None, ["a"]], id="str-good3-bad3"),
+        pytest.param("object", [{}, {"a": 1}], [[], "a", None], id="object-good4-bad4"),
+        pytest.param("number list", [[], [1, 2.5]], ["90", [math.nan], [True], 1.0, None],
+                     id="number list-good5-bad5"),
+        pytest.param("str list", [[], ["a", "b"]], ["ab", [1], None],
+                     id="str list-good6-bad6"),
+        pytest.param("object list", [[{}]], [{}, [[]], [None]], id="object list-good7-bad7"),
     ],
 )
 def test_config_value_kinds(kind, good, bad):

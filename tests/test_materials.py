@@ -246,6 +246,23 @@ def test_reflection_input_validation():
         LayerStack(())
 
 
+def test_non_finite_reflection_is_a_numeric_error():
+    stack = LayerStack((Layer(SKIN, 5.0),), substrate=FOAM)
+    # the wavenumbers overflow, and Gamma is NaN
+    with pytest.raises(ArithmeticError, match=r"reflection at 1e\+300 GHz is not finite"):
+        layered_reflection(stack, 1e300)
+    # 5 mm of skin is opaque at 1e200 GHz: the air-skin Fresnel coefficient
+    gamma = layered_reflection(stack, 1e200)
+    assert gamma == pytest.approx(fresnel_normal(permittivity_at(SKIN, 28.0)), rel=1e-12)
+
+
+def test_reflection_db_keeps_nan():
+    assert math.isnan(reflection_db(complex(math.nan, math.nan)))
+    assert math.isnan(reflection_db(complex(math.nan, 0.0)))
+    assert reflection_db(0j) == -math.inf
+    assert reflection_db(-0.1) == pytest.approx(-20.0, abs=1e-12)
+
+
 def test_range_error_propagates_through_stack():
     narrow = MaterialRecord("narrow", [10.0, 20.0], [2.0, 2.0], [0.1, 0.1])
     stack = LayerStack((Layer(narrow, 1.0),))
