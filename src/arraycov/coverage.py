@@ -13,11 +13,14 @@ import numpy as np
 from .errors import ParseError
 from .grid import regular_ring_structure
 from .ioutil import parse_floats, table_rows, write_csv
-from .kernels import synth_max_accumulate
+from .kernels import power_cap, synth_max_accumulate, synthesize_fields
 from .pattern import ElementPatternSet
 from .synth import SynthesisPlan, element_gains, enumerate_weights
 
 WEIGHTING_SOLID_ANGLE = "solid-angle"
+
+# (row, direction) fields the seed synthesizes at once
+_SEED_TILE = 2**13
 
 # power gains below this are excluded from MAE cut comparisons
 MAE_FLOOR_DB = -60.0
@@ -61,13 +64,49 @@ def max_gain_over_plan(pattern_set: ElementPatternSet, plan: SynthesisPlan) -> G
     grid = pattern_set.grid
     best_power = np.full(len(grid), -1.0)
     best_index = np.zeros(len(grid), dtype=np.int64)
+    # no floor at 1 bit, where its rows would be the whole codebook
+    floor = _seed_floor(pattern_set, plan) if plan.bits > 1 else None
     offset = 0
     for spec in plan.sub_arrays:
         elem = element_gains(pattern_set, spec)
         phasors = enumerate_weights(spec, plan.bits)
-        synth_max_accumulate(elem, phasors, best_power, best_index, offset)
+        synth_max_accumulate(elem, phasors, best_power, best_index, offset, floor)
         offset += len(phasors)
     return GainMap(grid, best_power, best_index)
+
+
+def _seed_floor(pattern_set: ElementPatternSet, plan: SynthesisPlan) -> np.ndarray:
+    """Per direction, a power at most that of the plan's winner.
+
+    Every b-bit codebook holds the 1-bit one: code 2^(b-1) is 180 deg
+    exactly. So the best power over every sub-array's 1-bit rows, less
+    their rounding, is at most the winner's power, however it rounds.
+    """
+    fp = np.finfo(np.float64)
+    n_dir = len(pattern_set.grid)
+    floor = np.full(n_dir, -np.inf)
+    for spec in plan.sub_arrays:
+        elem = element_gains(pattern_set, spec)
+        phasors = enumerate_weights(spec, 1)
+        # These calls have other shapes than the reference's, so the same
+        # row's power may round otherwise there. Each computed power is
+        # within (3 N + 10) u s^2 of the exact one, and s^2 <= 2 cap (see
+        # kernels.synth_max_accumulate), so the two are within
+        # 2 (3 N + 10) eps cap, up to the cap's own rounding; below the
+        # normal range each of the 3 N + 10 operations may be off by u tiny
+        # more, scaled by up to max|w|^2. Twice that bound is taken off.
+        w_max = np.abs(phasors).max()
+        cap, _ = power_cap(elem, w_max)
+        margin = 4.0 * (3 * spec.size + 10) * fp.eps * (cap + fp.tiny * (1.0 + w_max**2))
+        # a few directions at a time, so that the fields stay small
+        width = max(1, _SEED_TILE // len(phasors))
+        for lo in range(0, n_dir, width):
+            cols = slice(lo, lo + width)
+            fields = synthesize_fields(elem[:, cols], phasors)
+            power = np.abs(fields[:, :, 0]) ** 2
+            power += np.abs(fields[:, :, 1]) ** 2
+            np.maximum(floor[cols], power.max(axis=0) - margin[cols], out=floor[cols])
+    return floor
 
 
 class CoverageResult:

@@ -3,8 +3,9 @@
 The only loop that dominates runtime in this package is the reduction
 "synthesize every weight vector and keep the per-direction running
 maximum power" (full-scale workload: 2048 realizations x 6446
-directions). :func:`synth_max_accumulate` finds each direction's winner
-in two steps:
+directions). :func:`synth_max_accumulate` first drops the directions
+where ``power_cap`` puts every row below the running best or the
+caller's floor, then finds each other direction's winner in two steps:
 
 1. **Select.** Summed over both polarizations, the power of weight
    vector w at direction d is the Hermitian form ``w^H R_d w`` with
@@ -59,15 +60,27 @@ def synthesize_fields(elem_gains, phasors):
     return out.reshape(phasors.shape[0], n_dir, 2)
 
 
-def _form_factors(elem_gains, phasors):
-    """F (n_w, N^2) and A (N^2, n_dir) with (F @ A)[k, d] = P(w_k, d).
+def power_cap(elem_gains, w_max):
+    """Per direction, max|w|^2 (A^2 + B^2), A and B the sums of |g_m| over
+    the theta and the phi gains, which no weight vector's power exceeds;
+    and whether every gain there is zero (A + B = 0, which cannot
+    underflow as the cap can)."""
+    amp = np.zeros((elem_gains.shape[1], 2))
+    for g in elem_gains:
+        amp += np.abs(g)
+    return w_max**2 * (amp[:, 0] ** 2 + amp[:, 1] ** 2), amp[:, 0] + amp[:, 1] == 0.0
+
+
+def _form_factors(elem_gains, phasors, cols):
+    """F (n_w, N^2) and A (N^2, n_cols) with (F @ A)[k, c] = P(w_k, d_c),
+    d_c being the directions that cols indexes.
 
     With c_mn = w_m conj(w_n), P = sum_m |w_m|^2 R_mm
     + sum_{m<n} (Re c_mn 2 Re R_mn - Im c_mn 2 Im R_mn). The pairs go
     in order of n, each with its Re and Im terms side by side, so the
     last 2 (N - 1) terms are those of the last element's pairs.
     """
-    n_el, n_dir, _ = elem_gains.shape
+    n_el = elem_gains.shape[0]
     n, m = np.tril_indices(n_el, k=-1)
     factors = np.empty((phasors.shape[0], n_el**2))
     np.add(phasors.real**2, phasors.imag**2, out=factors[:, :n_el])
@@ -77,12 +90,13 @@ def _form_factors(elem_gains, phasors):
     # alive. Each sum over the two polarizations keeps the bits of numpy's
     # sum over them, which starts from +0: no square is -0, but a product's
     # part can be, and +0 + -0 is +0.
-    form = np.empty((n_el**2, n_dir))
+    form = np.empty((n_el**2, cols.size))
     for i, g in enumerate(elem_gains):
+        g = np.take(g, cols, axis=0)
         g0, g1 = g[:, 0], g[:, 1]
         np.add(g0.real**2 + g0.imag**2, g1.real**2 + g1.imag**2, out=form[i])
     for k, (i, j) in enumerate(zip(m, n)):
-        g, h = elem_gains[i], elem_gains[j]
+        g, h = np.take(elem_gains[i], cols, axis=0), np.take(elem_gains[j], cols, axis=0)
         cross = g[:, 0] * h[:, 0].conj()
         cross += 0.0
         cross += g[:, 1] * h[:, 1].conj()
@@ -116,10 +130,11 @@ def _shortlist(factors, form, lead, group, best_power, margin):
     bounds the form of every row of the group.
 
     The first pass takes, per direction, each block's largest bound. The
-    rows of the block with the best bound give a floor 2*margin below
-    their largest form or the running maximum. The second pass
+    rows of the block with the best bound give a cut 2*margin below
+    their largest form or best_power, the running maximum or the
+    caller's floor, whichever is higher. The second pass
     evaluates the form only in the blocks whose bound reaches 2*margin
-    below the floor, and keeps the rows whose form reaches the floor.
+    below the cut, and keeps the rows whose form reaches the cut.
     """
     n_w, n_terms = factors.shape
     n_el = lead.shape[1] + 1
@@ -156,12 +171,12 @@ def _shortlist(factors, form, lead, group, best_power, margin):
     for block in np.flatnonzero(np.bincount(best_block)):
         for cols, q in _block_forms(factors, form, block, best_block == block):
             top[cols] = q.max(axis=0)
-    floor = np.maximum(top, best_power) - 2.0 * margin
-    below = floor - 2.0 * margin
+    cut = np.maximum(top, best_power) - 2.0 * margin
+    below = cut - 2.0 * margin
     rows, dirs = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     for block, block_bound in enumerate(bound):
         for cols, q in _block_forms(factors, form, block, block_bound >= below):
-            r, c = np.nonzero(q >= floor[cols])
+            r, c = np.nonzero(q >= cut[cols])
             rows.append(block * _CHUNK + r)
             dirs.append(cols[c])
     return np.concatenate(rows), np.concatenate(dirs)
@@ -290,24 +305,52 @@ def _exact_powers(elem_gains, phasors, rows, dirs):
     return power
 
 
-def synth_max_accumulate(elem_gains, phasors, best_power, best_index, index_offset):
+def synth_max_accumulate(elem_gains, phasors, best_power, best_index, index_offset, floor=None):
     """Fold one sub-array's weight enumeration into the running maximum.
 
     Updates best_power (float64, n_directions) and best_index (int64,
     n_directions) in place; indices are offset by index_offset so that
     several sub-arrays accumulate into one global realization numbering.
+
+    floor (float64, n_directions), if given, is at most the power the
+    chunked reference computes for each direction's final winner over
+    all these calls; rows and directions below it are skipped. It is
+    never stored, so only the last call leaves the reference's state.
     """
     elem_gains = np.ascontiguousarray(elem_gains, dtype=np.complex128)
     phasors = np.ascontiguousarray(phasors, dtype=np.complex128)
     n_el = phasors.shape[1]
+    w_max = np.abs(phasors).max()
+    cap, dead = power_cap(elem_gains, w_max)
     # where every gain is zero, every power is exactly 0 and row 0 wins;
     # settled here and kept off the shortlist, where all n_w rows would tie
-    dead = ~elem_gains.any(axis=(0, 2))
     settle = dead & (best_power < 0.0)
     best_power[settle] = 0.0
     best_index[settle] = index_offset
 
-    factors, form = _form_factors(elem_gains, phasors)
+    fp = np.finfo(np.float64)
+    # Cap, per direction. |sum_m w_m g_m| <= max|w| sum_m |g_m| in each
+    # polarization, so no row's power exceeds power_cap's. All its terms
+    # are non-negative, so the computed cap is within about (2 N + 8) u
+    # of it, relative. As sqrt(a^2 + b^2) <= a + b and
+    # (A + B)^2 <= 2 (A^2 + B^2), s^2 <= 2 cap (s as in the margin below),
+    # so a computed power exceeds its exact value by at most
+    # (3 N + 10) u s^2 <= (6 N + 20) u cap. So every computed power is at
+    # most the computed cap times 1 + (8 N + 28) u, up to terms in u^2;
+    # 8 (N + 4) eps, that is (16 N + 64) u, covers that and the bound's
+    # own rounding. The tiny term is the margin's below. A direction
+    # whose cap so raised is below the floor, or below the carried best,
+    # which a row must exceed, cannot change the result: it leaves the
+    # form, the select and the recompute.
+    cap *= 1.0 + 8.0 * (n_el + 4) * fp.eps
+    cap += 16.0 * n_el**2 * fp.eps * fp.tiny * (1.0 + w_max**2)
+    level = best_power if floor is None else np.maximum(best_power, floor)
+    live = (cap >= level) & ~dead
+    del cap
+    cols = np.flatnonzero(live)
+    level = level[cols]
+    factors, form = _form_factors(elem_gains, phasors, cols)
+    del cols
     # Rounding margin, absolute per direction. Let s = max|w| * sum_m
     # sqrt(R_mm). The absolute values of the form's N^2 terms sum to at
     # most s^2, and so do the squared magnitude sums of the two fields
@@ -318,10 +361,10 @@ def synth_max_accumulate(elem_gains, phasors, best_power, best_index, index_offs
     # the normal range, where each operation may be off by u * tiny
     # absolute, scaled by up to max|w|^2. The winner's power is the
     # largest, so its form is at most 2 * margin below the largest form.
-    w_max = np.abs(phasors).max()
+    # The winner of the whole plan has a power of at least the floor, so
+    # its form is at least the floor less one margin.
     gain_sum = np.sqrt(form[:n_el]).sum(axis=0)
     scale = w_max * gain_sum
-    fp = np.finfo(np.float64)
     margin = 16.0 * n_el**2 * fp.eps * (scale**2 + fp.tiny * (1.0 + w_max**2))
     # The select runs in float32, on F divided by max|w|^2 and each column
     # of A by (sum_m sqrt(R_mm))^2: per direction, everything is divided by
@@ -329,31 +372,30 @@ def synth_max_accumulate(elem_gains, phasors, best_power, best_index, index_offs
     # N^2 terms sum to at most 1. In these units the margin is margin /
     # norm plus float32's own rounding: converting F and A (2 u32 per
     # term), the GEMM's products and sums in any order (N^2 u32) and the
-    # floor's subtraction stay within (N^2 + 3) u32. 16 N^2 eps32, that is
+    # cut's subtraction stay within (N^2 + 3) u32. 16 N^2 eps32, that is
     # 32 N^2 u32, covers that 8 times over at N = 1 and nearly 32 times
     # as N grows. Below float32's normal range each term may be
     # off by up to 3 u32 tiny32 more, hence the tiny32 term. Best powers
     # are clipped to +-2^64 in these units, beyond any form, so that none
-    # overflows float32; a lower floor only keeps more rows.
+    # overflows float32; a lower cut only keeps more rows.
     # The group bound of _shortlist, Q + a^2 R_LL + 2 a |u|, is no sum of
     # form terms, but by the same Cauchy-Schwarz step its terms' absolute
     # values sum to at most s^2, so to at most 1 in these units. Its
     # float32 rounding (converting its inputs, a as the root of the
     # largest |w_L|^2, a w_m, GEMMs over (N-1)^2 + 1 and 2 (N-1) terms,
     # the magnitude |2 a u| and the last sum) stays within about
-    # (N^2 + 9) u32. The winner's computed form is at least the floor, so
-    # its group's computed bound is at least the floor less (N^2 + 3) u32
+    # (N^2 + 9) u32. The winner's computed form is at least the cut, so
+    # its group's computed bound is at least the cut less (N^2 + 3) u32
     # for the form, (N^2 + 9) u32 for the bound and 1 u32 for the
     # threshold's subtraction: (2 N^2 + 13) u32, within the second
-    # 2 * margin32 the threshold takes off the floor; tiny32 terms as above.
+    # 2 * margin32 the threshold takes off the cut; tiny32 terms as above.
     w2 = max(w_max**2, fp.tiny)
     col = np.maximum(gain_sum**2, fp.tiny / w2)
     norm = w2 * col
     f32 = np.finfo(np.float32)
     margin32 = margin / norm + 16.0 * n_el**2 * f32.eps * (1.0 + f32.tiny)
-    best = np.clip(best_power, -_CLIP * norm, _CLIP * norm) / norm
-    # above every form, so that no row reaches the floor there
-    best[dead] = _CLIP
+    np.clip(level, -_CLIP * norm, _CLIP * norm, out=level)
+    level /= norm
     # only the float32 copies stay alive through the select
     factors /= w2
     factors = factors.astype(np.float32)
@@ -366,9 +408,10 @@ def synth_max_accumulate(elem_gains, phasors, best_power, best_index, index_offs
         form,
         lead.astype(np.complex64),
         group,
-        best.astype(np.float32),
+        level.astype(np.float32),
         margin32.astype(np.float32),
     )
+    dirs = np.flatnonzero(live)[dirs]
     power = _exact_powers(elem_gains, phasors, rows, dirs)
     # per direction: the largest exact power, lowest row among equals
     order = np.lexsort((rows, -power, dirs))

@@ -5,7 +5,7 @@ coordinates rounded to a fixed precision. Good enough for CDF curves
 and pattern cuts; not a plotting library.
 """
 
-import math
+import numpy as np
 
 _COLOR = "#1f6fb2"
 
@@ -19,13 +19,14 @@ _MARGIN_B = 46.0
 
 
 def _finite_points(x, y):
-    pts = zip(map(float, x), map(float, y))
-    return [(xv, yv) for xv, yv in pts if math.isfinite(xv) and math.isfinite(yv)]
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    keep = np.isfinite(x) & np.isfinite(y)
+    return x[keep], y[keep]
 
 
 def _bounds(values):
-    lo = min(values)
-    hi = max(values)
+    lo = float(values.min())
+    hi = float(values.max())
     if lo == hi:
         lo -= 0.5
         hi += 0.5
@@ -47,10 +48,10 @@ def line_plot(path, label, x, y, title, xlabel, ylabel):
     Non-finite points are dropped. With no point left, the chart has
     axes on [0, 1] and a legend entry but no line.
     """
-    pts = _finite_points(x, y)
-    if pts:
-        x_lo, x_hi = _bounds([p[0] for p in pts])
-        y_lo, y_hi = _bounds([p[1] for p in pts])
+    xs, ys = _finite_points(x, y)
+    if xs.size:
+        x_lo, x_hi = _bounds(xs)
+        y_lo, y_hi = _bounds(ys)
     else:
         x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.0, 1.0
 
@@ -96,8 +97,12 @@ def line_plot(path, label, x, y, title, xlabel, ylabel):
         f'<text x="16" y="{_MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
         f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.1f})">{ylabel}</text>',
     ]
-    if pts:
-        coords = " ".join(f"{sx(px):.2f},{sy(py):.2f}" for px, py in pts)
+    if xs.size:
+        # the closures' operations in their order, on every point at once;
+        # float arithmetic overflows to inf with no warning, so numpy's too
+        with np.errstate(over="ignore", invalid="ignore"):
+            points = np.column_stack([sx(xs), sy(ys)]).ravel().tolist()
+        coords = " ".join(["%.2f,%.2f"] * xs.size) % tuple(points)
         lines.append(
             f'<polyline points="{coords}" fill="none" stroke="{_COLOR}" '
             'stroke-width="1.5"/>'

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from arraycov import coverage
 from arraycov.coverage import (
     CoverageResult,
+    _seed_floor,
     GainMap,
     coverage_cdf,
     load_cdf_csv,
@@ -22,6 +24,7 @@ from arraycov.grid import SphericalGrid, make_regular_grid, make_uniform_sphere_
 from arraycov.kernels import synthesize_fields
 from arraycov.pattern import ElementPatternSet
 from arraycov.synth import SubArraySpec, SynthesisPlan, enumerate_weights
+from test_kernels import reference_synth_max
 
 
 def random_single_element_plan(grid, n, seed=0):
@@ -187,6 +190,95 @@ def test_fused_equals_listed_path():
     listed = reference_max_over_plan(pset, plan)
     np.testing.assert_allclose(fused.gain, listed.gain, rtol=1e-12)
     np.testing.assert_array_equal(fused.best_index, listed.best_index)
+
+
+def reference_plan_bits(pattern_set, plan):
+    """The chunked reference loop over every sub-array of the plan."""
+    n_dir = len(pattern_set.grid)
+    best_power, best_index = np.full(n_dir, -1.0), np.zeros(n_dir, dtype=np.int64)
+    offset = 0
+    for spec in plan.sub_arrays:
+        phasors = enumerate_weights(spec, plan.bits)
+        elem = pattern_set.gains[list(spec.feed_indices)]
+        reference_synth_max(elem, phasors, best_power, best_index, offset)
+        offset += len(phasors)
+    return best_power, best_index
+
+
+def assert_plan_matches_reference(pattern_set, plan):
+    out = max_gain_over_plan(pattern_set, plan)
+    best_power, best_index = reference_plan_bits(pattern_set, plan)
+    np.testing.assert_array_equal(out.gain.view(np.int64), best_power.view(np.int64))
+    np.testing.assert_array_equal(out.best_index, best_index)
+
+
+# (feeds of each sub-array): one sub-array; one-feed sub-arrays, whose
+# 1-bit codebook is a single row (a gemv); sub-arrays that share feeds, so
+# that one sub-array's rows tie the others' exactly; the phone layout
+PLANS = {
+    "one_sub_array": [(0, 1, 2, 3)],
+    "one_feed": [(2,), (0, 1, 2), (5,)],
+    "repeated": [(0, 1, 2, 3), (0, 1, 2, 3), (3, 2, 1, 0)],
+    "phone": [(0, 1, 2, 3), (4, 5, 6, 7), (0, 2, 4, 6), (1, 3, 5, 7)],
+}
+
+
+@pytest.mark.parametrize("bits", [2, 3])
+@pytest.mark.parametrize("layout", list(PLANS.values()), ids=list(PLANS))
+def test_seeded_plan_matches_reference_bit_for_bit(layout, bits):
+    grid = make_regular_grid(5.0, 20.0)
+    rng = np.random.default_rng(bits)
+    gains = rng.normal(size=(8, len(grid), 2)) + 1j * rng.normal(size=(8, len(grid), 2))
+    # dead for every feed, for the first sub-array's feeds only, and for
+    # every feed but one
+    gains[:, 3::50] = 0.0
+    gains[list(layout[0]), 5::40] = 0.0
+    gains[1:, 7::30] = 0.0
+    pset = ElementPatternSet(grid, tuple(f"f{i}" for i in range(8)), gains)
+    subs = tuple(SubArraySpec(f"s{k}", feeds) for k, feeds in enumerate(layout))
+    for scale in (1e-160, 1.0, 1e30):
+        scaled = ElementPatternSet(grid, pset.feeds, gains * scale)
+        assert_plan_matches_reference(scaled, SynthesisPlan(subs, bits=bits))
+
+
+def tied_beams(a, b, n_dir, rng):
+    """Gains at which rows a and b have the same exact power and, mostly,
+    the largest: theta gains that point between them, with some noise,
+    and phi gains scaled to make up the difference."""
+    shape = (4 * n_dir, 2, len(a))
+    g, h = (0.1 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))).transpose(1, 0, 2)
+    g += (a + b).conj()
+    s2 = (abs(g @ a) ** 2 - abs(g @ b) ** 2) / (abs(h @ b) ** 2 - abs(h @ a) ** 2)
+    keep = np.flatnonzero((s2 > 0.0) & (s2 < 100.0))[:n_dir]
+    return np.stack([g[keep], np.sqrt(s2[keep])[:, None] * h[keep]], axis=2).transpose(1, 0, 2)
+
+
+@pytest.mark.parametrize("seed_tile", [2**13, 3 * 2**3], ids=["tiles", "odd_tiles"])
+@pytest.mark.parametrize("bits", [2, 3])
+def test_rows_tying_the_seeds_realization_match_reference(monkeypatch, bits, seed_tile):
+    # The 1-bit row b and its codebook neighbour a have the same exact
+    # power, mostly the largest: their computed powers differ by a few
+    # ulps either way, and b's also between the seed's call shape and the
+    # reference's. b gives the floor, so the floor's margin alone decides
+    # whether the winner, a or b, stays in the select. Tiles of 3
+    # directions end each seed call in a 2-column tail, where the zgemm
+    # rounds otherwise than in the reference's calls.
+    monkeypatch.setattr(coverage, "_SEED_TILE", seed_tile)
+    phasors = enumerate_weights(SubArraySpec("s", (0, 1, 2, 3)), bits)
+    a, b = phasors[2 ** (bits - 1) - 1], phasors[2 ** (bits - 1)]
+    assert np.array_equal(np.round(np.angle(b, deg=True)), [0.0, 0.0, 0.0, 180.0])
+    grid = make_regular_grid(2.0, 10.0)
+    gains = tied_beams(a, b, len(grid), np.random.default_rng(70 + bits))
+    pset = ElementPatternSet(grid, ("f0", "f1", "f2", "f3"), gains)
+    alone = SynthesisPlan((SubArraySpec("s", (0, 1, 2, 3)),), bits)
+    assert np.mean(reference_plan_bits(pset, alone)[1] == 2 ** (bits - 1)) > 0.1
+    for layout in ([(0, 1, 2, 3)], [(0, 1, 2, 3), (0, 1, 2, 3)]):
+        plan = SynthesisPlan(
+            tuple(SubArraySpec(f"s{k}", feeds) for k, feeds in enumerate(layout)), bits
+        )
+        # the kernel's contract: the floor is at most the winner's power
+        assert np.all(_seed_floor(pset, plan) <= reference_plan_bits(pset, plan)[0])
+        assert_plan_matches_reference(pset, plan)
 
 
 def test_cdf_constant_map_is_step():

@@ -70,7 +70,7 @@ def test_form_factors_layout(n_el):
     # the select takes the last element's pair terms as the last
     # 2 (N - 1) columns of the factors, Re and Im side by side
     gains, phasors = random_problem(n_el, 41, 23, seed=n_el)
-    factors, form = kernels._form_factors(gains, phasors)
+    factors, form = kernels._form_factors(gains, phasors, np.arange(41))
     fields = synthesize_fields(gains, phasors)
     power = np.abs(fields[:, :, 0]) ** 2 + np.abs(fields[:, :, 1]) ** 2
     np.testing.assert_allclose(factors @ form, power, rtol=1e-12)
@@ -105,7 +105,7 @@ def test_form_factors_match_reductions_bit_for_bit(n_el, n_weights):
     gains[:, ::7] *= -0.0
     gains[::2, ::11] = complex(-0.0, -0.0)
     phasors[::3] *= -0.0
-    for actual, expected in zip(kernels._form_factors(gains, phasors),
+    for actual, expected in zip(kernels._form_factors(gains, phasors, np.arange(301)),
                                 reference_form_factors(gains, phasors)):
         assert actual.shape == expected.shape
         np.testing.assert_array_equal(actual.view(np.int64), expected.view(np.int64))
@@ -309,6 +309,83 @@ def test_near_ties_match_reference(n_el):
     assert_same_bits(*states)
 
 
+def capped_gains(row, n_dir, rng):
+    """Gains at which row's power is the cap, max|w|^2 (A^2 + B^2): each
+    feed's gain in each polarization is in phase with conj(w_m)."""
+    amp = rng.uniform(0.1, 2.0, size=(len(row), n_dir, 2))
+    phase = np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=(1, n_dir, 2)))
+    return amp * phase * (row.conj() / np.abs(row))[:, None, None]
+
+
+@pytest.mark.parametrize("n_el", [1, 2, 4, 5])
+def test_running_best_at_the_cap_matches_reference(n_el):
+    # The first call's row reaches the cap at every direction, so the
+    # carried best equals (up to rounding) the next calls' caps: rows
+    # that beat it by a few ulps, tie it, or fall short by a few must each
+    # be decided as the reference decides them.
+    rng = np.random.default_rng(40 + n_el)
+    phasors = enumerate_weights(SubArraySpec("s", tuple(range(n_el))), 2)
+    row = phasors[-1]
+    gains = capped_gains(row, 500, rng)
+    # The computed power of that row exceeds the computed cap by up to
+    # about 6 ulps, so a cap with no margin fails here.
+    states = fresh_state(500), fresh_state(500)
+    for k, ulps in enumerate([0, 0, -4, 1, 2, 3, 256]):
+        factor = 1.0 + ulps * np.finfo(np.float64).eps
+        for fn, (best_power, best_index) in zip(
+            (synth_max_accumulate, reference_synth_max), states
+        ):
+            fn(gains, phasors * factor, best_power, best_index, k * len(phasors))
+        assert_same_bits(*states)
+    assert np.all(states[1][1] >= 6 * len(phasors))
+
+
+def test_without_a_floor_every_call_leaves_the_reference_state():
+    # library callers that pass no floor see the reference's state after
+    # each call, not only after the last
+    calls = [random_problem(4, 97, 300, seed=s) for s in (50, 51, 52)]
+    states = fresh_state(97), fresh_state(97)
+    offset = 0
+    for gains, phasors in calls:
+        synth_max_accumulate(gains, phasors, *states[0], offset)
+        reference_synth_max(gains, phasors, *states[1], offset)
+        assert_same_bits(*states)
+        offset += len(phasors)
+
+
+def test_directions_above_the_cap_leave_the_select(monkeypatch):
+    # where the floor or the carried best is above every row's power, the
+    # form is not computed at all; dead directions neither
+    gains, phasors = random_problem(4, 60, 256, seed=60)
+    gains[:, :10] = 0.0
+    cap, dead = kernels.power_cap(gains, np.abs(phasors).max())
+    np.testing.assert_array_equal(dead, np.arange(60) < 10)
+    carried = fresh_state(60)
+    carried[0][10:20] = 2.0 * cap[10:20]
+    floor = np.full(60, -1.0)
+    floor[20:30] = 2.0 * cap[20:30]
+    form_columns = []
+    form_factors = kernels._form_factors
+
+    def recording(elem_gains, phasors, cols):
+        form_columns.append(cols)
+        return form_factors(elem_gains, phasors, cols)
+
+    monkeypatch.setattr(kernels, "_form_factors", recording)
+    synth_max_accumulate(gains, phasors, *carried, 0, floor)
+    np.testing.assert_array_equal(form_columns[0], np.arange(30, 60))
+    # the floor was above every power there, so those directions keep
+    # whatever they held; elsewhere the result is the reference's
+    expected = fresh_state(60)
+    expected[0][10:20] = 2.0 * cap[10:20]
+    reference_synth_max(gains, phasors, *expected, 0)
+    keep = np.r_[0:20, 30:60]
+    assert_same_bits(
+        (carried[0][keep], carried[1][keep]), (expected[0][keep], expected[1][keep])
+    )
+    assert np.all(carried[0][20:30] == -1.0)
+
+
 def test_lone_winner_recomputed_in_a_full_size_call():
     # one dominant row wins every direction; a 1-row (gemv) recompute
     # would round differently from its 128-row chunk
@@ -394,9 +471,12 @@ def test_failed_probe_keeps_every_direction(monkeypatch, fresh_probe):
     gain_scale=st.floats(-160.0, 30.0).map(lambda e: 10.0**e),
     # amplitudes spread over 10^-spread .. 10^spread per element
     spread=st.floats(0.0, 3.0),
+    # a floor this many ulps of the winner's power below it (at most 0.5
+    # below, at 2^52), or none
+    floor_ulps=st.none() | st.sampled_from([0, 1, 2, 2**20, 2**52]),
 )
 def test_property_matches_reference(
-    n_el, n_dir, n_weights, bits, seed, gain_scale, spread
+    n_el, n_dir, n_weights, bits, seed, gain_scale, spread, floor_ulps
 ):
     rng = np.random.default_rng(seed)
     gains, _ = random_problem(n_el, n_dir, 0, seed=seed)
@@ -404,10 +484,13 @@ def test_property_matches_reference(
     phasors = lattice_phasors(n_el, n_weights, bits, rng)
     phasors *= 10.0 ** rng.uniform(-spread, spread, size=phasors.shape)
     states = fresh_state(n_dir), fresh_state(n_dir)
-    for fn, (best_power, best_index) in zip(
-        (synth_max_accumulate, reference_synth_max), states
-    ):
-        fn(gains, phasors, best_power, best_index, 0)
+    reference_synth_max(gains, phasors, *states[1], 0)
+    floor = None
+    if floor_ulps is not None:
+        # the largest floor the kernel may be given is the winner's power
+        winner = states[1][0]
+        floor = winner - floor_ulps * np.spacing(winner)
+    synth_max_accumulate(gains, phasors, *states[0], 0, floor)
     assert_same_bits(*states)
 
 
