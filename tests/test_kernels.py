@@ -471,8 +471,8 @@ def test_failed_probe_keeps_every_direction(monkeypatch, fresh_probe):
     gain_scale=st.floats(-160.0, 30.0).map(lambda e: 10.0**e),
     # amplitudes spread over 10^-spread .. 10^spread per element
     spread=st.floats(0.0, 3.0),
-    # a floor this many ulps of the winner's power below it (at most 0.5
-    # below, at 2^52), or none
+    # a floor this many ulps of the winner's power below it (2^52 ulps
+    # are between half the power and all of it), or none
     floor_ulps=st.none() | st.sampled_from([0, 1, 2, 2**20, 2**52]),
 )
 def test_property_matches_reference(
