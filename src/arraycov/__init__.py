@@ -10,9 +10,8 @@ Library layout (import each name from its module, e.g.
   kernels       the fused synthesize-and-maximize reduction
   coverage      max realized gain, coverage CDF, percentiles, comparisons
   materials     permittivity records and multilayer reflection
-  ioutil        CSV and JSON readers and writers, typed config values
+  ioutil        CSV and JSON I/O, typed config values, ConfigError, ParseError
   svgplot       deterministic SVG line plots
-  errors        exception types shared across the package
   cli           batch front end (console script: arraycov)
 
 This file imports nothing, so ``import arraycov`` loads no numpy and

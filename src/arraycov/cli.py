@@ -24,20 +24,13 @@ import numpy as np
 
 from . import coverage as cov
 from . import pattern, svgplot, synth
-from .errors import (
-    CapacityError,
-    ConfigError,
-    EstimationError,
-    MaterialRangeError,
-    ParseError,
-)
 from .grid import (
     Direction,
     make_regular_grid,
     make_uniform_sphere_grid,
     regular_ring_structure,
 )
-from .ioutil import config_value, format_float, write_csv, write_json
+from .ioutil import ConfigError, ParseError, config_value, format_float, write_csv, write_json
 
 EXIT_OK = 0
 
@@ -45,9 +38,8 @@ EXIT_OK = 0
 # row that matches it and re-raises one that no row matches
 EXIT_CODES = (
     (ParseError, 3, "parse error"),
-    ((EstimationError, MaterialRangeError, ArithmeticError), 4, "numeric error"),
-    ((ConfigError, CapacityError, FileNotFoundError, KeyError, TypeError, ValueError),
-     2, "configuration error"),
+    (ArithmeticError, 4, "numeric error"),
+    ((ConfigError, FileNotFoundError, KeyError, TypeError, ValueError), 2, "configuration error"),
 )
 
 DEFAULT_LEVELS = (0.1, 0.5)
@@ -57,9 +49,9 @@ def _load_config(path):
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             config = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")

@@ -10,9 +10,8 @@ import math
 
 import numpy as np
 
-from .errors import ParseError
 from .grid import regular_ring_structure
-from .ioutil import parse_floats, table_rows, write_csv
+from .ioutil import ParseError, parse_floats, table_rows, write_csv
 from .kernels import power_cap, synth_max_accumulate, synthesize_fields
 from .pattern import ElementPatternSet
 from .synth import SynthesisPlan, element_gains, enumerate_weights

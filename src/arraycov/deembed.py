@@ -11,8 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import EstimationError, ParseError
-from .ioutil import parse_floats, table_rows, write_csv
+from .ioutil import ParseError, parse_floats, table_rows, write_csv
 from .pattern import ElementPatternSet
 
 DEFAULT_WINDOW_HALFWIDTH_DEG = 60.0
@@ -89,7 +88,7 @@ def estimate_losses(
         p_meas = measured.power_gain(feed)
         mask = window.mask(simulated.grid) & (p_sim > floor_lin) & (p_meas > floor_lin)
         if not np.any(mask):
-            raise EstimationError(
+            raise ArithmeticError(
                 f"no usable directions in the beam window for feed {feed}"
             )
         diff = 10.0 * (np.log10(p_sim[mask]) - np.log10(p_meas[mask]))

@@ -1,4 +1,6 @@
-"""Small I/O helpers: CSV readers and writers, a JSON writer, typed config values."""
+"""Small I/O helpers: CSV readers and writers, a JSON writer, typed config values,
+and the package's two error types. Every text file is UTF-8, whatever the locale.
+"""
 
 import csv
 import io
@@ -9,7 +11,23 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+
+class ConfigError(Exception):
+    """Invalid or incomplete run configuration (missing files, bad levels)."""
+
+
+class ParseError(Exception):
+    """Malformed input file. Carries the offending location when known."""
+
+    def __init__(self, message, path=None, row=None):
+        loc = ""
+        if path is not None:
+            loc += f"{path}"
+        if row is not None:
+            loc += f", row {row}"
+        super().__init__(f"{message} ({loc})" if loc else message)
+        self.path = path
+        self.row = row
 
 
 def format_float(value) -> str:
@@ -63,7 +81,7 @@ def write_csv(path, header, columns) -> None:
         _label_cells(c) if len(c) and isinstance(c[0], str) else _float_cells(c)
         for c in columns
     ]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(header)
         fh.writelines(",".join(row) + "\r\n" for row in zip(*cells))
 
@@ -110,7 +128,7 @@ def table_rows(path, header):
     ParseError at the header unless check_header passes, and at a row
     whose cell count is not the header's.
     """
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv_rows(fh, path)
         check_header(next(reader, None), header, path)
         for row, cells in enumerate(reader, start=2):
@@ -196,6 +214,6 @@ def _json_safe(value):
 
 def write_json(path, payload) -> None:
     """payload as RFC 8259 JSON: -inf, inf and NaN as "-inf", "inf" and "nan"."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(_json_safe(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

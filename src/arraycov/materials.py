@@ -15,8 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import MaterialRangeError, ParseError
-from .ioutil import float_table
+from .ioutil import ParseError, float_table
 
 # speed of light in mm/s; frequencies are GHz, lengths mm
 C_MM_PER_S = 299_792_458_000.0
@@ -61,7 +60,7 @@ def permittivity_at(material: MaterialRecord, f_ghz) -> complex:
     """eps' - j*eps'' at f_ghz, linear per component.
 
     Single-row records are constants at any frequency. Multi-row
-    records interpolate inside their range and raise a range error,
+    records interpolate inside their range and raise ArithmeticError,
     naming the material, outside it.
     """
     f = float(f_ghz)
@@ -69,7 +68,7 @@ def permittivity_at(material: MaterialRecord, f_ghz) -> complex:
     if freqs.size == 1:
         return complex(material.eps_real[0], -material.eps_imag[0])
     if not (freqs[0] <= f <= freqs[-1]):
-        raise MaterialRangeError(
+        raise ArithmeticError(
             f"{material.name}: {f} GHz outside [{freqs[0]}, {freqs[-1]}] GHz"
         )
     er = float(np.interp(f, freqs, material.eps_real))

@@ -10,7 +10,6 @@ import itertools
 
 import numpy as np
 
-from .errors import ParseError
 from .grid import (
     SphericalGrid,
     _is_pole,
@@ -19,7 +18,7 @@ from .grid import (
     make_regular_grid,
     regular_ring_structure,
 )
-from .ioutil import check_header, parse_floats, table_rows, write_csv
+from .ioutil import ParseError, check_header, parse_floats, table_rows, write_csv
 
 PATTERN_CSV_HEADER = [
     "feed",
@@ -139,7 +138,7 @@ def _read_chunks(path):
     pole = np.empty(capacity, dtype=bool)
     samples = np.empty((capacity, 4))
     runs, n = [], 0
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         check_header(next(csv.reader(fh), None), PATTERN_CSV_HEADER, path)
         while True:
             # loadtxt warns on input without data, so a chunk starts at a data line

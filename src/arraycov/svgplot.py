@@ -116,5 +116,5 @@ def line_plot(path, label, x, y, title, xlabel, ylabel):
         "</g>",
         "</svg>",
     ]
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

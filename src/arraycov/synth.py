@@ -11,8 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError
-from .ioutil import config_value
+from .ioutil import ConfigError, config_value
 from .kernels import synthesize_fields
 from .pattern import ElementPatternSet
 
@@ -61,14 +60,14 @@ def weight_count(n_elements, bits) -> int:
     """Size of a sub-array's enumeration, 2^(bits*(N-1)).
 
     Raises ValueError for bits that are not an integer (a bool is not) in
-    [MIN_BITS, MAX_BITS], and CapacityError above MAX_WEIGHTS.
+    [MIN_BITS, MAX_BITS], or for a count above MAX_WEIGHTS.
     """
     is_int = isinstance(bits, (int, np.integer)) and not isinstance(bits, bool)
     if not (is_int and MIN_BITS <= bits <= MAX_BITS):
         raise ValueError(f"bits must be an integer in [{MIN_BITS}, {MAX_BITS}], got {bits!r}")
     count = 2 ** (bits * (n_elements - 1))
     if count > MAX_WEIGHTS:
-        raise CapacityError(
+        raise ValueError(
             f"enumeration of {count} weight vectors exceeds the cap of {MAX_WEIGHTS}"
         )
     return count

@@ -26,8 +26,8 @@ from arraycov.coverage import (
     save_cdf_csv,
 )
 from arraycov.deembed import LOSS_CSV_HEADER, load_loss_csv
-from arraycov.errors import ParseError
 from arraycov.grid import make_regular_grid
+from arraycov.ioutil import ParseError
 from arraycov.materials import MATERIAL_CSV_HEADER, load_material_csv
 from arraycov.pattern import (
     PATTERN_CSV_HEADER,
@@ -219,6 +219,49 @@ def test_coverage_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert "gain_map.csv" in one and "cut_theta_90.svg" in one
     for name in one:
         assert one[name] == two[name], f"{name} differs between thread counts"
+
+
+def test_outputs_do_not_depend_on_the_locale(tmp_path):
+    # a feed label outside ASCII, read and written under the C locale with
+    # neither locale coercion nor UTF-8 mode, and under the default one;
+    # each run parses its own pattern copies (a cache miss)
+    feeds = ["f\u00e9", "f1"]
+    sim = smooth_pattern(feeds, seed=5)
+    meas = ElementPatternSet(GRID, sim.feeds, sim.gains * 0.5)
+    envs = {
+        "default": dict(os.environ),
+        "c": {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+    }
+    outputs = {}
+    for tag, env in envs.items():
+        run = tmp_path / tag
+        run.mkdir()
+        configs = {
+            "coverage": {
+                "pattern": pattern_file(run, sim, "sim.csv"),
+                "plan": {"bits": 2, "sub_arrays": [{"label": "s", "feeds": feeds}]},
+            },
+            "deembed": {
+                "simulated": pattern_file(run, sim, "sim.csv"),
+                "measured": pattern_file(run, meas, "meas.csv"),
+                "windows": {f: {"center_theta_deg": 90.0} for f in feeds},
+            },
+        }
+        for command, config in configs.items():
+            out = run / command
+            cfg = write_config(run, {**config, "output_dir": str(out)}, f"{command}.json")
+            proc = subprocess.run(
+                [sys.executable, "-m", "arraycov.cli", command, "--config", cfg],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert proc.returncode == 0, (tag, proc.stderr)
+            for p in sorted(out.iterdir()):
+                outputs.setdefault(f"{command}/{p.name}", {})[tag] = p.read_bytes()
+    assert "f\u00e9".encode() in outputs["deembed/losses.csv"]["default"]
+    for name, written in outputs.items():
+        assert written["default"] == written["c"], name
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -553,6 +596,16 @@ def test_bad_json_exits_2(tmp_path):
     assert main(["reflect", "--config", str(path)]) == 2
 
 
+def test_config_that_is_not_utf8_exits_2_as_invalid_json(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff{}")
+    assert main(["reflect", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "arraycov: configuration error: config is not valid JSON: 'utf-8' codec can't"
+        " decode byte 0xff in position 0: invalid start byte\n"
+    )
+
+
 def test_missing_required_key_exits_2(tmp_path):
     cfg = write_config(tmp_path, {"output_dir": str(tmp_path / "out")})
     assert main(["reflect", "--config", cfg]) == 2
@@ -689,7 +742,7 @@ def test_every_csv_reader_raises_parse_error(tmp_path, reader, header):
     assert info.value.row == 2
 
 
-def test_empty_beam_window_exits_4(tmp_path):
+def test_empty_beam_window_exits_4(tmp_path, capsys):
     sim = smooth_pattern(["f0"], seed=4)
     dead = ElementPatternSet(GRID, ("f0",), sim.gains * 1e-9)
     cfg = write_config(
@@ -702,9 +755,12 @@ def test_empty_beam_window_exits_4(tmp_path):
         },
     )
     assert main(["deembed", "--config", cfg]) == 4
+    assert capsys.readouterr().err == (
+        "arraycov: numeric error: no usable directions in the beam window for feed f0\n"
+    )
 
 
-def test_capacity_blowup_exits_2(tmp_path):
+def test_capacity_blowup_exits_2(tmp_path, capsys):
     feeds = [f"f{i}" for i in range(5)]
     out = tmp_path / "out"
     cfg = coverage_config(
@@ -715,6 +771,10 @@ def test_capacity_blowup_exits_2(tmp_path):
     )
     # 2^(6*4) weights blows past the enumeration cap
     assert main(["coverage", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "arraycov: configuration error: enumeration of 16777216 weight vectors"
+        " exceeds the cap of 10000000\n"
+    )
     assert not out.exists()
 
 

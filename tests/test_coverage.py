@@ -19,8 +19,8 @@ from arraycov.coverage import (
     save_cdf_csv,
     save_gainmap_csv,
 )
-from arraycov.errors import ParseError
 from arraycov.grid import SphericalGrid, make_regular_grid, make_uniform_sphere_grid
+from arraycov.ioutil import ParseError
 from arraycov.kernels import synthesize_fields
 from arraycov.pattern import ElementPatternSet
 from arraycov.synth import SubArraySpec, SynthesisPlan, enumerate_weights

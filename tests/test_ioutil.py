@@ -1,5 +1,7 @@
+import ast
 import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +9,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import arraycov
 from arraycov.coverage import CoverageResult, load_cdf_csv, save_cdf_csv
 from arraycov.deembed import PortLossTable, load_loss_csv, save_loss_csv
 from arraycov.grid import make_regular_grid
-from arraycov.errors import ConfigError
-from arraycov.ioutil import config_value, format_float, write_csv
+from arraycov.ioutil import ConfigError, config_value, format_float, write_csv
 from arraycov.pattern import ElementPatternSet, load_pattern_csv, save_pattern_csv
 
 TINY = np.finfo(np.float64).tiny
@@ -199,3 +201,28 @@ def test_config_value_default_and_alternatives():
     assert config_value({"k": {}}, "k", ("number list", "object")) == {}
     with pytest.raises(ConfigError, match="a list of finite numbers or an object, got 'x'"):
         config_value({"k": "x"}, "k", ("number list", "object"))
+
+
+def _text_opens_without_encoding(source):
+    """Line of each builtin open() call in text mode that passes no encoding."""
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "open"):
+            continue
+        keywords = {k.arg: k.value for k in node.keywords}
+        mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
+        binary = isinstance(mode, ast.Constant) and "b" in mode.value
+        if not binary and "encoding" not in keywords:
+            yield node.lineno
+
+
+def test_text_files_are_opened_with_an_encoding():
+    # without one, open() reads and writes in the locale's encoding, so a
+    # label outside ASCII would parse or not depending on the environment
+    assert list(_text_opens_without_encoding('open(p, "rb"); open(p, mode="w")')) == [1]
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(Path(arraycov.__file__).parent.glob("*.py"))
+        for line in _text_opens_without_encoding(path.read_text(encoding="utf-8"))
+    ]
+    assert found == []

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from arraycov import cli, pattern, patterncache
-from arraycov.errors import ParseError
 from arraycov.grid import (
     SphericalGrid,
     _is_pole,
@@ -22,6 +21,7 @@ from arraycov.grid import (
     make_regular_grid,
     make_uniform_sphere_grid,
 )
+from arraycov.ioutil import ParseError
 from arraycov.pattern import (
     _POLE_MERGE_ATOL,
     ElementPatternSet,
