@@ -12,7 +12,7 @@ import numpy as np
 
 from .grid import regular_ring_structure
 from .ioutil import ParseError, parse_floats, table_rows, write_csv
-from .kernels import power_cap, synth_max_accumulate, synthesize_fields
+from .kernels import power_cap, power_slack, synth_max_accumulate, synthesize_fields
 from .pattern import ElementPatternSet
 from .synth import SynthesisPlan, element_gains, enumerate_weights
 
@@ -61,7 +61,7 @@ def max_gain_over_plan(pattern_set: ElementPatternSet, plan: SynthesisPlan) -> G
     fields are kept.
     """
     grid = pattern_set.grid
-    best_power = np.full(len(grid), -1.0)
+    best_power = np.zeros(len(grid))
     best_index = np.zeros(len(grid), dtype=np.int64)
     # no floor at 1 bit, where its rows would be the whole codebook
     floor = _seed_floor(pattern_set, plan) if plan.bits > 1 else None
@@ -81,22 +81,15 @@ def _seed_floor(pattern_set: ElementPatternSet, plan: SynthesisPlan) -> np.ndarr
     exactly. So the best power over every sub-array's 1-bit rows, less
     their rounding, is at most the winner's power, however it rounds.
     """
-    fp = np.finfo(np.float64)
     n_dir = len(pattern_set.grid)
     floor = np.full(n_dir, -np.inf)
     for spec in plan.sub_arrays:
         elem = element_gains(pattern_set, spec)
         phasors = enumerate_weights(spec, 1)
-        # These calls have other shapes than the reference's, so the same
-        # row's power may round otherwise there. Each computed power is
-        # within (3 N + 10) u s^2 of the exact one, and s^2 <= 2 cap (see
-        # kernels.synth_max_accumulate), so the two are within
-        # 2 (3 N + 10) eps cap, up to the cap's own rounding; below the
-        # normal range each of the 3 N + 10 operations may be off by u tiny
-        # more, scaled by up to max|w|^2. Twice that bound is taken off.
+        # these calls have other shapes than the reference's, so the same
+        # row's power may round otherwise there
         w_max = np.abs(phasors).max()
-        cap, _ = power_cap(elem, w_max)
-        margin = 4.0 * (3 * spec.size + 10) * fp.eps * (cap + fp.tiny * (1.0 + w_max**2))
+        margin = power_slack(spec.size, power_cap(elem, w_max)[0], w_max)
         # a few directions at a time, so that the fields stay small
         width = max(1, _SEED_TILE // len(phasors))
         for lo in range(0, n_dir, width):

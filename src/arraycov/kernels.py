@@ -36,9 +36,6 @@ import numpy as np
 # must keep this shape (see _exact_powers)
 _CHUNK = 128
 
-# the select's bound on a carried best power, in units of its norm
-_CLIP = 2.0**64
-
 # group bounds the select's first pass computes at once, and forms its
 # later passes compute at once
 _TILE = 2**15
@@ -69,6 +66,28 @@ def power_cap(elem_gains, w_max):
     for g in elem_gains:
         amp += np.abs(g)
     return w_max**2 * (amp[:, 0] ** 2 + amp[:, 1] ** 2), amp[:, 0] + amp[:, 1] == 0.0
+
+
+def power_slack(n_el, cap, w_max):
+    """4 (3 N + 10) eps (cap + tiny (1 + max|w|^2)) per direction, N being
+    n_el: more than a computed power exceeds the computed cap, or differs
+    from the same row's power computed in another call shape.
+
+    Let s = max|w| sum_m sqrt(R_mm), R as in _form_factors. The squared
+    magnitude sums of the two fields are at most s^2 (Cauchy-Schwarz,
+    Minkowski), so a computed power is within (3 N + 10) u s^2 of the
+    exact one in any summation order (u = eps / 2). s^2 <= 2 cap, as
+    sqrt(a^2 + b^2) <= a + b and (A + B)^2 <= 2 (A^2 + B^2), and the cap,
+    a sum of non-negative terms, is within (2 N + 8) u of the exact one,
+    which no exact power exceeds. So a computed power exceeds the cap by
+    at most (8 N + 28) u cap, and two computations of it differ by at
+    most (12 N + 40) u cap and the cap's rounding: (24 N + 80) u covers
+    both. Below the normal range each of the power's 3 N + 10 and the
+    cap's 2 N + 8 operations may be off by u tiny more, scaled by up to
+    max|w|^2: the tiny term.
+    """
+    fp = np.finfo(np.float64)
+    return 4.0 * (3 * n_el + 10) * fp.eps * (cap + fp.tiny * (1.0 + w_max**2))
 
 
 def _form_factors(elem_gains, phasors, cols):
@@ -308,42 +327,29 @@ def _exact_powers(elem_gains, phasors, rows, dirs):
 def synth_max_accumulate(elem_gains, phasors, best_power, best_index, index_offset, floor=None):
     """Fold one sub-array's weight enumeration into the running maximum.
 
-    Updates best_power (float64, n_directions) and best_index (int64,
-    n_directions) in place; indices are offset by index_offset so that
-    several sub-arrays accumulate into one global realization numbering.
+    Updates best_power (float64, n_directions, none negative) and
+    best_index (int64, n_directions) in place; indices are offset by
+    index_offset so that several sub-arrays accumulate into one global
+    realization numbering. A fresh state is best_power 0 and best_index
+    the first realization's number, which no power beats, none being negative.
 
     floor (float64, n_directions), if given, is at most the power the
     chunked reference computes for each direction's final winner over
     all these calls; rows and directions below it are skipped. It is
     never stored, so only the last call leaves the reference's state.
     """
+    if np.any(best_power < 0.0):
+        raise ValueError("best_power must be non-negative")
     elem_gains = np.ascontiguousarray(elem_gains, dtype=np.complex128)
     phasors = np.ascontiguousarray(phasors, dtype=np.complex128)
     n_el = phasors.shape[1]
     w_max = np.abs(phasors).max()
     cap, dead = power_cap(elem_gains, w_max)
-    # where every gain is zero, every power is exactly 0 and row 0 wins;
-    # settled here and kept off the shortlist, where all n_w rows would tie
-    settle = dead & (best_power < 0.0)
-    best_power[settle] = 0.0
-    best_index[settle] = index_offset
-
-    fp = np.finfo(np.float64)
-    # Cap, per direction. |sum_m w_m g_m| <= max|w| sum_m |g_m| in each
-    # polarization, so no row's power exceeds power_cap's. All its terms
-    # are non-negative, so the computed cap is within about (2 N + 8) u
-    # of it, relative. As sqrt(a^2 + b^2) <= a + b and
-    # (A + B)^2 <= 2 (A^2 + B^2), s^2 <= 2 cap (s as in the margin below),
-    # so a computed power exceeds its exact value by at most
-    # (3 N + 10) u s^2 <= (6 N + 20) u cap. So every computed power is at
-    # most the computed cap times 1 + (8 N + 28) u, up to terms in u^2;
-    # 8 (N + 4) eps, that is (16 N + 64) u, covers that and the bound's
-    # own rounding. The tiny term is the margin's below. A direction
-    # whose cap so raised is below the floor, or below the carried best,
-    # which a row must exceed, cannot change the result: it leaves the
-    # form, the select and the recompute.
-    cap *= 1.0 + 8.0 * (n_el + 4) * fp.eps
-    cap += 16.0 * n_el**2 * fp.eps * fp.tiny * (1.0 + w_max**2)
+    # No computed power exceeds the cap so raised (see power_slack), so a
+    # direction whose raised cap is below the floor or the carried best,
+    # which a row must exceed, leaves the form, the select and the
+    # recompute; so does one whose gains are all zero (every power is 0).
+    cap += power_slack(n_el, cap, w_max)
     level = best_power if floor is None else np.maximum(best_power, floor)
     live = (cap >= level) & ~dead
     del cap
@@ -351,18 +357,16 @@ def synth_max_accumulate(elem_gains, phasors, best_power, best_index, index_offs
     level = level[cols]
     factors, form = _form_factors(elem_gains, phasors, cols)
     del cols
-    # Rounding margin, absolute per direction. Let s = max|w| * sum_m
-    # sqrt(R_mm). The absolute values of the form's N^2 terms sum to at
-    # most s^2, and so do the squared magnitude sums of the two fields
-    # (Cauchy-Schwarz, Minkowski). So in any summation order the form is
-    # within about (N^2 + 14) u s^2 of w^H R w, and the exact power
-    # within about (3 N + 10) u s^2 (u = eps / 2): 16 N^2 eps s^2 bounds
-    # |form - power| for every N >= 1. The tiny term covers results below
-    # the normal range, where each operation may be off by u * tiny
-    # absolute, scaled by up to max|w|^2. The winner's power is the
-    # largest, so its form is at most 2 * margin below the largest form.
-    # The winner of the whole plan has a power of at least the floor, so
-    # its form is at least the floor less one margin.
+    # Rounding margin, absolute per direction. With s as in power_slack,
+    # the absolute values of the form's N^2 terms sum to at most s^2, so
+    # in any summation order the form is within about (N^2 + 14) u s^2 of
+    # w^H R w, and a computed power within (3 N + 10) u s^2 of it:
+    # 16 N^2 eps s^2 bounds |form - power| for every N >= 1, and the tiny
+    # term the results below the normal range, as in power_slack. The
+    # winner's power is the largest, so its form is at most 2 * margin
+    # below the largest form. The winner of the whole plan has a power of
+    # at least the floor, so its form is at least the floor less one margin.
+    fp = np.finfo(np.float64)
     gain_sum = np.sqrt(form[:n_el]).sum(axis=0)
     scale = w_max * gain_sum
     margin = 16.0 * n_el**2 * fp.eps * (scale**2 + fp.tiny * (1.0 + w_max**2))
@@ -375,9 +379,9 @@ def synth_max_accumulate(elem_gains, phasors, best_power, best_index, index_offs
     # cut's subtraction stay within (N^2 + 3) u32. 16 N^2 eps32, that is
     # 32 N^2 u32, covers that 8 times over at N = 1 and nearly 32 times
     # as N grows. Below float32's normal range each term may be
-    # off by up to 3 u32 tiny32 more, hence the tiny32 term. Best powers
-    # are clipped to +-2^64 in these units, beyond any form, so that none
-    # overflows float32; a lower cut only keeps more rows.
+    # off by up to 3 u32 tiny32 more, hence the tiny32 term. A live
+    # direction's level lies between 0 and its raised cap, at most about
+    # 2 norm, so it fits float32 in these units.
     # The group bound of _shortlist, Q + a^2 R_LL + 2 a |u|, is no sum of
     # form terms, but by the same Cauchy-Schwarz step its terms' absolute
     # values sum to at most s^2, so to at most 1 in these units. Its
@@ -394,7 +398,6 @@ def synth_max_accumulate(elem_gains, phasors, best_power, best_index, index_offs
     norm = w2 * col
     f32 = np.finfo(np.float32)
     margin32 = margin / norm + 16.0 * n_el**2 * f32.eps * (1.0 + f32.tiny)
-    np.clip(level, -_CLIP * norm, _CLIP * norm, out=level)
     level /= norm
     # only the float32 copies stay alive through the select
     factors /= w2

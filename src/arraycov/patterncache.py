@@ -20,7 +20,6 @@ import zlib
 import numpy as np
 
 from . import pattern
-from .grid import make_regular_grid
 
 
 def entry_path(path) -> str:
@@ -63,8 +62,8 @@ def _read_entry(path, key):
             header = json.loads(fh.readline())
             if header["key"] != key:
                 return None
-            # the grid's temporaries are gone before the gains are read
-            grid = make_regular_grid(*header["steps"])
+            # built before the gains, so its temporaries are gone; by pattern's name, as traced
+            grid = pattern.make_regular_grid(*header["steps"])
             gains = np.load(fh)
         return (grid, header["feeds"], gains) if gains.dtype == np.complex128 else None
     # np.load raises EOFError on an entry cut after its header line

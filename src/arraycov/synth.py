@@ -164,10 +164,15 @@ def plan_from_config(config: dict, feeds) -> SynthesisPlan:
     subs = []
     for entry in config_value(config, "sub_arrays", "object list"):
         label = config_value(entry, "label", "str")
+        names = config_value(entry, "feeds", "str list")
+        if not names:
+            raise ConfigError(f"sub-array {label!r} has an empty 'feeds' list")
         indices = []
-        for feed in config_value(entry, "feeds", "str list"):
+        for k, feed in enumerate(names):
             if feed not in feeds:
                 raise ConfigError(f"sub-array {label!r} references unknown feed {feed!r}")
+            if feed in names[:k]:
+                raise ConfigError(f"sub-array {label!r} lists feed {feed!r} twice in 'feeds'")
             indices.append(feeds.index(feed))
         subs.append(SubArraySpec(label, tuple(indices)))
     try:

@@ -884,6 +884,24 @@ def test_config_value_of_wrong_type_exits_2(tmp_path, capsys, command, path, val
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "feeds, message",
+    [
+        (["a", "b", "a"], "sub-array 's' lists feed 'a' twice in 'feeds'"),
+        ([], "sub-array 's' has an empty 'feeds' list"),
+    ],
+    ids=["repeated_feed", "no_feeds"],
+)
+def test_sub_array_feeds_error_names_the_sub_array(tmp_path, capsys, feeds, message):
+    config = runnable_config(tmp_path, "coverage")
+    config["plan"]["sub_arrays"][0]["feeds"] = feeds
+    out = tmp_path / "out"
+    config["output_dir"] = str(out)
+    assert main(["coverage", "--config", write_config(tmp_path, config)]) == 2
+    assert capsys.readouterr().err == f"arraycov: configuration error: {message}\n"
+    assert not out.exists()
+
+
 def _loss_table_of_feed_a(tmp_path):
     path = tmp_path / "losses.csv"
     path.write_text("feed,loss_db,window_halfwidth_deg\na,3.0,20.0\n")

@@ -42,7 +42,7 @@ def random_problem(n_el, n_dir, n_weights, seed):
 
 
 def fresh_state(n_dir):
-    return np.full(n_dir, -1.0), np.zeros(n_dir, dtype=np.int64)
+    return np.zeros(n_dir), np.zeros(n_dir, dtype=np.int64)
 
 
 def lattice_phasors(n_el, n_weights, bits, rng):
@@ -383,7 +383,15 @@ def test_directions_above_the_cap_leave_the_select(monkeypatch):
     assert_same_bits(
         (carried[0][keep], carried[1][keep]), (expected[0][keep], expected[1][keep])
     )
-    assert np.all(carried[0][20:30] == -1.0)
+    assert np.all(carried[0][20:30] == 0.0)
+
+
+def test_negative_best_power_is_rejected():
+    gains, phasors = random_problem(2, 5, 4, seed=1)
+    best_power, best_index = fresh_state(5)
+    best_power[3] = -1.0
+    with pytest.raises(ValueError, match="best_power must be non-negative"):
+        synth_max_accumulate(gains, phasors, best_power, best_index, 0)
 
 
 def test_lone_winner_recomputed_in_a_full_size_call():

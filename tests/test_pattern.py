@@ -745,6 +745,23 @@ def test_cache_hit_is_the_parsed_set(tmp_path, forbid_parse):
     assert not hit.gains.flags.writeable
 
 
+def test_cache_hit_builds_its_grid_through_the_pattern_module(tmp_path, monkeypatch, forbid_parse):
+    # a tracer that wraps pattern.make_regular_grid sees the hit's grid too
+    path = _cached_file(tmp_path)
+    forbid_parse()
+    calls = []
+    make_regular_grid = pattern.make_regular_grid
+
+    def counted(*steps):
+        calls.append(steps)
+        return make_regular_grid(*steps)
+
+    monkeypatch.setattr(pattern, "make_regular_grid", counted)
+    hit = load_pattern_csv(path)
+    assert len(calls) == 1
+    assert calls[0] == (hit.grid.theta_step_deg, hit.grid.phi_step_deg)
+
+
 def test_cache_entry_of_another_numpy_is_a_miss(tmp_path, monkeypatch, count_parses):
     path = _cached_file(tmp_path)
     entry = _cache_entry(path).read_bytes()
