@@ -24,12 +24,7 @@ import numpy as np
 
 from . import coverage as cov
 from . import pattern, svgplot, synth
-from .grid import (
-    Direction,
-    make_regular_grid,
-    make_uniform_sphere_grid,
-    regular_ring_structure,
-)
+from .grid import Direction, make_regular_grid, make_uniform_sphere_grid
 from .ioutil import ConfigError, ParseError, config_value, format_float, write_csv, write_json
 
 EXIT_OK = 0
@@ -49,7 +44,7 @@ def _load_config(path):
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             config = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
@@ -259,11 +254,11 @@ def _cut_ring(grid, theta_deg):
     """Indices of the grid's directions on the theta ring at theta_deg."""
     if not grid.is_regular:
         raise ConfigError("cut_thetas_deg requires a regular coverage grid")
-    ring_thetas, rings = regular_ring_structure(grid)
-    match = np.nonzero(np.isclose(ring_thetas, theta_deg, rtol=0.0, atol=1e-9))[0]
-    if match.size == 0:
+    # a regular grid's rings lie over 1e-9 apart, each laid out in phi order
+    ring = np.flatnonzero(np.isclose(grid.theta_deg, theta_deg, rtol=0.0, atol=1e-9))
+    if ring.size == 0:
         raise ConfigError(f"cut_thetas_deg: no theta ring at {theta_deg} degrees")
-    return rings[match[0]]
+    return ring
 
 
 def cmd_compare(config) -> int:

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .grid import regular_ring_structure
+from .grid import ring_index
 from .ioutil import ParseError, parse_floats, table_rows, write_csv
 from .kernels import power_cap, power_slack, synth_max_accumulate, synthesize_fields
 from .pattern import ElementPatternSet
@@ -188,9 +188,12 @@ def mae_per_theta_cut(a: GainMap, b: GainMap, floor_db=MAE_FLOOR_DB) -> list:
     if not a.grid.is_regular:
         raise ValueError("theta cuts require a regular grid")
     floor_lin = 10.0 ** (floor_db / 10.0)
-    ring_thetas, rings = regular_ring_structure(a.grid)
+    rings = list(ring_index(a.grid))
+    # a pole's row repeats its one position
+    rings[0], rings[-1] = rings[0][:1], rings[-1][:1]
     out = []
-    for theta, idx in zip(ring_thetas, rings):
+    for idx in rings:
+        theta = a.grid.theta_deg[idx[0]]
         mask = (a.gain[idx] > floor_lin) & (b.gain[idx] > floor_lin)
         if not np.any(mask):
             out.append((float(theta), math.nan))

@@ -190,6 +190,22 @@ def make_regular_grid(theta_step_deg, phi_step_deg) -> SphericalGrid:
     )
 
 
+def ring_index(grid: SphericalGrid) -> np.ndarray:
+    """(rings, n_phi) grid positions of a regular grid in make_regular_grid's
+    layout: rings north to south, each in phi order, a pole's one position
+    in every column. Raises ValueError for a grid that is not regular or
+    whose length is not its lattice's."""
+    if not grid.is_regular:
+        raise ValueError("ring structure requires a regular grid")
+    n_rings = round(180.0 / grid.theta_step_deg) + 1
+    n_phi = round(360.0 / grid.phi_step_deg)
+    if len(grid) != (n_rings - 2) * n_phi + 2:
+        raise ValueError(f"a regular grid of {len(grid)} directions does not fit its steps")
+    # ring r > 0 starts at (r - 1) n_phi + 1; the clip folds a pole's row to its position
+    first = np.arange(1 - n_phi, (n_rings - 1) * n_phi + 1).reshape(n_rings, n_phi)
+    return np.clip(first, 0, len(grid) - 1)
+
+
 def _uniform_ring_layout(target_count):
     # rings at (r + 0.5) * 180/M; equator azimuth count tuned so the
     # total sample count lands as close to the target as possible
@@ -238,21 +254,6 @@ def make_uniform_sphere_grid(target_count) -> SphericalGrid:
         np.repeat(ring_weights, ring_sizes),
         kind=KIND_UNIFORM,
     )
-
-
-def regular_ring_structure(grid: SphericalGrid):
-    """Ring decomposition of a regular grid.
-
-    Returns (ring_thetas, ring_indices) where ring_indices[i] holds the
-    grid positions of ring i ordered by increasing phi. Raises ValueError
-    for non-regular grids.
-    """
-    if not grid.is_regular:
-        raise ValueError("ring structure requires a regular grid")
-    order = np.lexsort((grid.phi_deg, grid.theta_deg))
-    theta = grid.theta_deg[order]
-    starts = np.flatnonzero(theta[1:] != theta[:-1]) + 1
-    return theta[np.concatenate([[0], starts])], np.split(order, starts)
 
 
 def detect_regular_steps(theta_deg, phi_deg):

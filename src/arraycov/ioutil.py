@@ -1,5 +1,6 @@
 """Small I/O helpers: CSV readers and writers, a JSON writer, typed config values,
-and the package's two error types. Every text file is UTF-8, whatever the locale.
+and the package's two error types. Every text file is UTF-8, whatever the locale;
+an input may start with a byte-order mark, and no output does.
 """
 
 import csv
@@ -128,7 +129,7 @@ def table_rows(path, header):
     ParseError at the header unless check_header passes, and at a row
     whose cell count is not the header's.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv_rows(fh, path)
         check_header(next(reader, None), header, path)
         for row, cells in enumerate(reader, start=2):

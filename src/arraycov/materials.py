@@ -80,16 +80,10 @@ def _k0_rad_per_mm(f_ghz) -> float:
     return 2.0 * math.pi * f_ghz * 1e9 / C_MM_PER_S
 
 
-def _refraction_root(eps: complex) -> complex:
-    # sqrt branch with Im >= 0, the decaying-wave convention
-    root = cmath.sqrt(eps)
-    return -root if root.imag < 0.0 else root
-
-
 def penetration_depth_mm(material: MaterialRecord, f_ghz) -> float:
     """1/e field-decay depth delta = 1/alpha, in millimeters."""
-    n_imag = _refraction_root(permittivity_at(material, f_ghz)).imag
-    alpha = _k0_rad_per_mm(float(f_ghz)) * n_imag
+    # alpha = -Im kz of a wave entering the material from air at normal incidence
+    alpha = -_kz(permittivity_at(material, f_ghz), 1.0, 0.0, _k0_rad_per_mm(float(f_ghz))).imag
     if alpha <= 0.0:
         raise ValueError(f"{material.name} is lossless; penetration depth undefined")
     return 1.0 / alpha

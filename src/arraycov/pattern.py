@@ -16,7 +16,7 @@ from .grid import (
     detect_regular_steps,
     direction_keys,
     make_regular_grid,
-    regular_ring_structure,
+    ring_index,
 )
 from .ioutil import ParseError, check_header, parse_floats, table_rows, write_csv
 
@@ -138,7 +138,7 @@ def _read_chunks(path):
     pole = np.empty(capacity, dtype=bool)
     samples = np.empty((capacity, 4))
     runs, n = [], 0
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         check_header(next(csv.reader(fh), None), PATTERN_CSV_HEADER, path)
         while True:
             # loadtxt warns on input without data, so a chunk starts at a data line
@@ -195,23 +195,28 @@ def _read_table(path):
         runs, *columns = read
         return *_number_feeds(runs, len(columns[0])), *columns, None
 
-    rows, error = [], None
-    try:
-        rows.extend(_parse_pattern_rows(path))
-    except ParseError as exc:
-        error = exc
-    runs = []
-    _add_runs(runs, np.array([row[1] for row in rows], dtype=object), 0)
-    theta = np.array([row[2] for row in rows], dtype=np.float64)
-    phi = np.array([row[3] for row in rows], dtype=np.float64)
-    samples = np.array([(gt, gp) for *_, gt, gp in rows], dtype=np.complex128).reshape(-1, 2)
-    return (
-        *_number_feeds(runs, len(rows)),
-        *direction_keys(theta, phi),
-        _is_pole(theta),
-        samples.view(np.float64),
-        error,
-    )
+    # row by row, _CHUNK_ROWS rows at a time: only one chunk's rows are tuples
+    rows, runs, columns, n, error = _parse_pattern_rows(path), [], [[], [], [], []], 0, None
+    while True:
+        chunk = []
+        try:
+            chunk.extend(itertools.islice(rows, _CHUNK_ROWS))
+        except ParseError as exc:
+            error = exc  # the rows before the bad one are kept
+        _add_runs(runs, np.array([row[1] for row in chunk], dtype=object), n)
+        theta = np.array([row[2] for row in chunk], dtype=np.float64)
+        phi = np.array([row[3] for row in chunk], dtype=np.float64)
+        samples = np.array([row[4:] for row in chunk], dtype=np.complex128).reshape(-1, 2)
+        part = (*direction_keys(theta, phi), _is_pole(theta), samples.view(np.float64))
+        for column, array in zip(columns, part):
+            column.append(array)
+        n += len(chunk)
+        if error is not None or len(chunk) < _CHUNK_ROWS:
+            break
+    joined = []
+    while columns:  # a column's chunks are freed as soon as it is joined
+        joined.append(np.concatenate(columns.pop(0)))
+    return *_number_feeds(runs, n), *joined, error
 
 
 def _merge_directions(path, feed_id, key_t, key_p, pole, samples):
@@ -343,16 +348,6 @@ def save_pattern_csv(pattern_set: ElementPatternSet, path) -> None:
     write_csv(path, PATTERN_CSV_HEADER, columns)
 
 
-def _ring_index(grid: SphericalGrid):
-    """(n_rings, n_phi) grid positions of each ring's phi samples, a
-    pole's one position in every column."""
-    ring_thetas, rings = regular_ring_structure(grid)
-    index = np.empty((ring_thetas.size, round(360.0 / grid.phi_step_deg)), dtype=np.int64)
-    for ri, idx in enumerate(rings):
-        index[ri] = idx
-    return index
-
-
 def resample(pattern_set: ElementPatternSet, target: SphericalGrid) -> ElementPatternSet:
     """Bilinear (theta, phi) interpolation onto another grid.
 
@@ -367,7 +362,7 @@ def resample(pattern_set: ElementPatternSet, target: SphericalGrid) -> ElementPa
     if target.same_directions(src):
         return ElementPatternSet(target, feeds, pattern_set.gains)
 
-    index = _ring_index(src)
+    index = ring_index(src)
     t_step = src.theta_step_deg
     p_step = src.phi_step_deg
     n_rings, n_phi = index.shape

@@ -1,4 +1,8 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures shared by the test modules, and a summary line per failure
+that a warning raised."""
+
+import os
+import re
 
 import pytest
 
@@ -33,3 +37,14 @@ def count_parses(monkeypatch):
         return parses
 
     return start
+
+
+def pytest_terminal_summary(terminalreporter):
+    # pytest turns warnings into errors, and -q cuts a failure's message
+    # off: give each such failure's warning in full, with its location
+    stats, root = terminalreporter.stats, terminalreporter.config.rootpath
+    for report in stats.get("failed", []) + stats.get("error", []):
+        crash = getattr(report.longrepr, "reprcrash", None)
+        if crash is not None and re.match(r"\w*Warning\b", crash.message):
+            where = f"{os.path.relpath(crash.path, root)}:{crash.lineno}"
+            terminalreporter.write_line(f"{report.nodeid}: {where}: {crash.message}")

@@ -1348,6 +1348,45 @@ def test_deembedded_coverage_run_reads_and_leaves_unscaled_gains(tmp_path, forbi
     assert run_coverage(cfg) == miss
 
 
+def test_inputs_with_a_byte_order_mark_run_as_without_one(tmp_path, count_parses):
+    # Excel's "CSV UTF-8" and many Windows tools start a text file with
+    # one; the pattern, the loss table and the config each carry it here
+    parses = count_parses()
+    outputs = {}
+    for tag, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        run = tmp_path / tag
+        run.mkdir()
+        loss_path = run / "losses.csv"
+        loss_path.write_text("feed,loss_db,window_halfwidth_deg\nf0,2.5,60\nf1,-1.25,60\n")
+        cfg = coverage_config(
+            run, run / "out", extra={"loss_table": str(loss_path), "cut_thetas_deg": [90.0]}
+        )
+        for path in (run / "elements.csv", loss_path, Path(cfg)):
+            path.write_bytes(bom + path.read_bytes())
+        for read in ("miss", "hit"):
+            assert main(["coverage", "--config", cfg]) == 0
+            outputs[tag, read] = {p.name: p.read_bytes() for p in sorted((run / "out").iterdir())}
+        assert (run / PATTERN_CACHE).exists()
+    # each pattern was parsed once, on its miss
+    assert parses == [str(tmp_path / tag / "elements.csv") for tag in ("plain", "bom")]
+    assert "cut_theta_90.svg" in outputs["plain", "miss"]
+    for key, written in outputs.items():
+        assert written == outputs["plain", "miss"], key
+
+
+def test_undecodable_byte_after_a_byte_order_mark_names_its_row(tmp_path):
+    # the bad byte lies past the first block the reader decodes, so the
+    # header is read first
+    path = tmp_path / "pattern.csv"
+    save_pattern_csv(smooth_pattern([f"f{i}" for i in range(50)], seed=3), path)
+    lines = path.read_bytes().split(b"\n")
+    assert len(b"\n".join(lines[:1000])) > 8192
+    lines[1000] = lines[1000].replace(b"f", b"f\xff", 1)
+    path.write_bytes(b"\xef\xbb\xbf" + b"\n".join(lines))
+    with pytest.raises(ParseError, match=r"^not utf-8 text \(.*, row 1001\)$"):
+        load_pattern_csv(path)
+
+
 def test_deembedded_coverage_run_loads_no_dataclasses(tmp_path):
     # building dataclasses took about 1 ms each at every run's start-up
     loss_path = tmp_path / "losses.csv"

@@ -15,7 +15,7 @@ from arraycov.grid import (
     direction_keys,
     make_regular_grid,
     make_uniform_sphere_grid,
-    regular_ring_structure,
+    ring_index,
 )
 from arraycov.pattern import ElementPatternSet, load_pattern_csv, save_pattern_csv
 
@@ -385,11 +385,58 @@ def test_detect_regular_steps_phi_tolerance(shift, regular):
 
 def test_ring_structure():
     grid = make_regular_grid(45.0, 90.0)
-    thetas, rings = regular_ring_structure(grid)
-    np.testing.assert_array_equal(thetas, [0.0, 45.0, 90.0, 135.0, 180.0])
-    assert [len(r) for r in rings] == [1, 4, 4, 4, 1]
-    ring = rings[1]
+    index = ring_index(grid)
+    np.testing.assert_array_equal(grid.theta_deg[index[:, 0]], [0.0, 45.0, 90.0, 135.0, 180.0])
+    assert index.shape == (5, 4)
+    np.testing.assert_array_equal(index[0], 0)
+    np.testing.assert_array_equal(index[-1], len(grid) - 1)
+    ring = index[1]
     np.testing.assert_array_equal(grid.phi_deg[ring], [0.0, 90.0, 180.0, 270.0])
     with pytest.raises(ValueError, match="requires a regular grid"):
-        regular_ring_structure(make_uniform_sphere_grid(100))
+        ring_index(make_uniform_sphere_grid(100))
 
+
+def _sorted_rings(grid):
+    # the rings as a sort recovers them from any order of the directions:
+    # theta, then phi, one array of positions per distinct theta
+    order = np.lexsort((grid.phi_deg, grid.theta_deg))
+    theta = grid.theta_deg[order]
+    starts = np.flatnonzero(theta[1:] != theta[:-1]) + 1
+    return theta[np.concatenate([[0], starts])], np.split(order, starts)
+
+
+@pytest.mark.parametrize(
+    "theta_step, phi_step",
+    [(180.0, 90.0), (90.0, 360.0), (60.0, 360.0), (45.0, 90.0), (30.0, 120.0), (20.0, 72.0), (1.0, 10.0),
+     (180.0 / 7.0, 360.0 / 13.0), (180.0 / 39.0, 45.0)],
+)
+def test_ring_index_is_the_sorted_layout(theta_step, phi_step):
+    # phi_step 360 puts one direction on each ring (n_phi = 1); 90 x 360
+    # and 30 x 120 give odd direction counts (3 and 17)
+    grid = make_regular_grid(theta_step, phi_step)
+    index = ring_index(grid)
+    thetas, rings = _sorted_rings(grid)
+    assert index.shape == (thetas.size, round(360.0 / phi_step))
+    np.testing.assert_array_equal(grid.theta_deg[index[:, 0]], thetas)
+    np.testing.assert_array_equal(index[0], rings[0][0])
+    np.testing.assert_array_equal(index[-1], rings[-1][0])
+    for row, ring in zip(index[1:-1], rings[1:-1]):
+        np.testing.assert_array_equal(row, ring)
+    assert len(rings[0]) == len(rings[-1]) == 1
+
+
+def test_ring_index_rejects_a_regular_grid_of_another_length():
+    grid = make_regular_grid(30.0, 90.0)
+    keep = np.arange(len(grid) - 1)
+    short = SphericalGrid(
+        grid.theta_deg[keep], grid.phi_deg[keep], grid.weight_sr[keep], kind=grid.kind,
+        theta_step_deg=grid.theta_step_deg, phi_step_deg=grid.phi_step_deg,
+    )
+    with pytest.raises(ValueError, match="does not fit its steps"):
+        ring_index(short)
+    coarse = SphericalGrid(
+        grid.theta_deg, grid.phi_deg, grid.weight_sr, kind=grid.kind,
+        theta_step_deg=grid.theta_step_deg, phi_step_deg=180.0,
+    )
+    with pytest.raises(ValueError, match="does not fit its steps"):
+        ring_index(coarse)

@@ -574,6 +574,32 @@ def test_reader_peak_memory(tmp_path):
     assert (tmp_path / ".patterns.csv.arraycov-cache").exists()
 
 
+def test_row_by_row_read_peak_memory(tmp_path):
+    # a 1_0 cell (float() reads it, numpy does not) sends the whole file
+    # through the row-by-row read, which converts its rows a chunk at a
+    # time; holding every row as a tuple first peaked at 13.5x the gains
+    plain, underscore = tmp_path / "plain.csv", tmp_path / "underscore.csv"
+    save_pattern_csv(random_set(1.0, 10.0, n_feeds=8), plain)
+    lines = plain.read_bytes().split(b"\r\n")
+    # feed 1V's direction 4999, whose re_gtheta cell reads 10 either way
+    cells = lines[5000].split(b",")
+    lines[5000] = b",".join(cells[:3] + [b"10"] + cells[4:])
+    plain.write_bytes(b"\r\n".join(lines))
+    lines[5000] = b",".join(cells[:3] + [b"1_0"] + cells[4:])
+    underscore.write_bytes(b"\r\n".join(lines))
+    tracemalloc.start()
+    try:
+        loaded = load_pattern_csv(underscore)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0 * loaded.gains.nbytes
+    expected = load_pattern_csv(plain)
+    assert loaded.feeds == expected.feeds and loaded.grid.same_directions(expected.grid)
+    np.testing.assert_array_equal(loaded.gains, expected.gains)
+    assert loaded.gains[0, 4999, 0].real == 10.0
+
+
 def test_deembedded_load_peak_memory(tmp_path):
     # the command line scales the gains it loaded in place, so a load with
     # a loss table peaks where the read alone does; scaling a copy while
