@@ -74,13 +74,15 @@ class Direction:
 
 
 class SphericalGrid:
-    """Ordered direction samples with per-direction solid angles [sr]."""
+    """Ordered direction samples with per-direction solid angles [sr].
+
+    kind is a label. A grid is regular when it has steps, and only
+    make_regular_grid gives it them, with its layout.
+    """
 
     __slots__ = ("theta_deg", "phi_deg", "weight_sr", "kind", "theta_step_deg", "phi_step_deg")
 
-    def __init__(
-        self, theta_deg, phi_deg, weight_sr, kind, theta_step_deg=None, phi_step_deg=None
-    ):
+    def __init__(self, theta_deg, phi_deg, weight_sr, kind):
         theta = np.ascontiguousarray(theta_deg, dtype=np.float64)
         phi = np.ascontiguousarray(phi_deg, dtype=np.float64)
         weight = np.ascontiguousarray(weight_sr, dtype=np.float64)
@@ -94,7 +96,7 @@ class SphericalGrid:
             arr.flags.writeable = False
         self.theta_deg, self.phi_deg, self.weight_sr = theta, phi, weight
         self.kind = kind
-        self.theta_step_deg, self.phi_step_deg = theta_step_deg, phi_step_deg
+        self.theta_step_deg = self.phi_step_deg = None
         key_t, key_p = direction_keys(theta, phi)
         order = np.lexsort((key_p, key_t))
         repeated = (key_t[order[1:]] == key_t[order[:-1]]) & (
@@ -123,7 +125,7 @@ class SphericalGrid:
 
     @property
     def is_regular(self) -> bool:
-        return self.kind == KIND_REGULAR
+        return self.theta_step_deg is not None
 
 
 def _band_solid_angle(theta_lo_deg, theta_hi_deg):
@@ -180,27 +182,24 @@ def make_regular_grid(theta_step_deg, phi_step_deg) -> SphericalGrid:
         ring_thetas.append(theta)
         ring_sizes.append(size)
         ring_weights.append(_band_solid_angle(lo, hi) / size)
-    return SphericalGrid(
+    grid = SphericalGrid(
         np.repeat(ring_thetas, ring_sizes),
         _ring_positions(ring_sizes) * phi_step,
         np.repeat(ring_weights, ring_sizes),
         kind=KIND_REGULAR,
-        theta_step_deg=theta_step,
-        phi_step_deg=phi_step,
     )
+    grid.theta_step_deg, grid.phi_step_deg = theta_step, phi_step
+    return grid
 
 
 def ring_index(grid: SphericalGrid) -> np.ndarray:
-    """(rings, n_phi) grid positions of a regular grid in make_regular_grid's
+    """(rings, n_phi) grid positions of a regular grid, in make_regular_grid's
     layout: rings north to south, each in phi order, a pole's one position
-    in every column. Raises ValueError for a grid that is not regular or
-    whose length is not its lattice's."""
+    in every column. Raises ValueError for a grid that is not regular."""
     if not grid.is_regular:
         raise ValueError("ring structure requires a regular grid")
     n_rings = round(180.0 / grid.theta_step_deg) + 1
     n_phi = round(360.0 / grid.phi_step_deg)
-    if len(grid) != (n_rings - 2) * n_phi + 2:
-        raise ValueError(f"a regular grid of {len(grid)} directions does not fit its steps")
     # ring r > 0 starts at (r - 1) n_phi + 1; the clip folds a pole's row to its position
     first = np.arange(1 - n_phi, (n_rings - 1) * n_phi + 1).reshape(n_rings, n_phi)
     return np.clip(first, 0, len(grid) - 1)
@@ -254,33 +253,3 @@ def make_uniform_sphere_grid(target_count) -> SphericalGrid:
         np.repeat(ring_weights, ring_sizes),
         kind=KIND_UNIFORM,
     )
-
-
-def detect_regular_steps(theta_deg, phi_deg):
-    """(theta_step, phi_step) if the directions form the full regular
-    lattice of make_regular_grid, else None."""
-    thetas, ring = np.unique(theta_deg, return_inverse=True)
-    if thetas.size < 3 or thetas[0] != 0.0 or thetas[-1] != 180.0:
-        return None
-    # against the lattice, not ring to ring: keys rounded to 9 decimals
-    # put neighbouring gaps up to 2e-9 apart
-    theta_step = 180.0 / (thetas.size - 1)
-    if not np.allclose(thetas, np.arange(thetas.size) * theta_step, rtol=0.0, atol=1e-9):
-        return None
-
-    # one sample per pole; the rings between carry 360/phi_step samples each
-    sizes = np.bincount(ring)
-    if sizes[0] != 1 or sizes[-1] != 1:
-        return None
-    phi_step = 360.0 / int(sizes[1])
-    if np.any(np.abs(360.0 / sizes[1:-1] - phi_step) > 1e-9):
-        return None
-    # phis sorted within each ring, against j * phi_step; the poles stay out
-    order = np.lexsort((phi_deg, ring))
-    j = _ring_positions(sizes)
-    if not np.allclose(
-        np.asarray(phi_deg)[order][1:-1], j[1:-1] * phi_step, rtol=0.0, atol=1e-9
-    ):
-        return None
-    return theta_step, phi_step
-

@@ -59,13 +59,22 @@ def synthesize_fields(elem_gains, phasors):
 
 def power_cap(elem_gains, w_max):
     """Per direction, max|w|^2 (A^2 + B^2), A and B the sums of |g_m| over
-    the theta and the phi gains, which no weight vector's power exceeds;
-    and whether every gain there is zero (A + B = 0, which cannot
-    underflow as the cap can)."""
+    the theta and the phi gains, raised by its power_slack: no computed
+    power exceeds it. Also whether every gain there is zero (A + B = 0,
+    which cannot underflow as the cap can).
+
+    Raises ArithmeticError where the raised cap overflows float64, before
+    any power is computed.
+    """
     amp = np.zeros((elem_gains.shape[1], 2))
-    for g in elem_gains:
-        amp += np.abs(g)
-    return w_max**2 * (amp[:, 0] ** 2 + amp[:, 1] ** 2), amp[:, 0] + amp[:, 1] == 0.0
+    with np.errstate(over="ignore"):
+        for g in elem_gains:
+            amp += np.abs(g)
+        cap = w_max**2 * (amp[:, 0] ** 2 + amp[:, 1] ** 2)
+        cap += power_slack(elem_gains.shape[0], cap, w_max)
+    if not np.isfinite(cap).all():
+        raise ArithmeticError("the synthesized power overflows float64; scale the gains down")
+    return cap, amp[:, 0] + amp[:, 1] == 0.0
 
 
 def power_slack(n_el, cap, w_max):
@@ -344,12 +353,10 @@ def synth_max_accumulate(elem_gains, phasors, best_power, best_index, index_offs
     phasors = np.ascontiguousarray(phasors, dtype=np.complex128)
     n_el = phasors.shape[1]
     w_max = np.abs(phasors).max()
+    # A direction whose cap is below the floor or the carried best, which
+    # a row must exceed, leaves the form, the select and the recompute; so
+    # does one whose gains are all zero (every power is 0).
     cap, dead = power_cap(elem_gains, w_max)
-    # No computed power exceeds the cap so raised (see power_slack), so a
-    # direction whose raised cap is below the floor or the carried best,
-    # which a row must exceed, leaves the form, the select and the
-    # recompute; so does one whose gains are all zero (every power is 0).
-    cap += power_slack(n_el, cap, w_max)
     level = best_power if floor is None else np.maximum(best_power, floor)
     live = (cap >= level) & ~dead
     del cap
@@ -393,8 +400,12 @@ def synth_max_accumulate(elem_gains, phasors, best_power, best_index, index_offs
     # for the form, (N^2 + 9) u32 for the bound and 1 u32 for the
     # threshold's subtraction: (2 N^2 + 13) u32, within the second
     # 2 * margin32 the threshold takes off the cut; tiny32 terms as above.
+    # Within the cap, (sum_m sqrt(R_mm))^2 may still pass float64. Then
+    # col is inf and the direction's form, level and margin read 0 in
+    # these units, so the select keeps every row there for the recompute.
     w2 = max(w_max**2, fp.tiny)
-    col = np.maximum(gain_sum**2, fp.tiny / w2)
+    with np.errstate(over="ignore"):
+        col = np.maximum(gain_sum**2, fp.tiny / w2)
     norm = w2 * col
     f32 = np.finfo(np.float32)
     margin32 = margin / norm + 16.0 * n_el**2 * f32.eps * (1.0 + f32.tiny)

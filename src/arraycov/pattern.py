@@ -10,14 +10,7 @@ import itertools
 
 import numpy as np
 
-from .grid import (
-    SphericalGrid,
-    _is_pole,
-    detect_regular_steps,
-    direction_keys,
-    make_regular_grid,
-    ring_index,
-)
+from .grid import SphericalGrid, _is_pole, direction_keys, make_regular_grid, ring_index
 from .ioutil import ParseError, check_header, parse_floats, table_rows, write_csv
 
 PATTERN_CSV_HEADER = [
@@ -284,12 +277,14 @@ def _parse_pattern_csv(path):
                 path=path,
             )
 
-    steps = detect_regular_steps(ref_t, ref_p)
-    if steps is None:
+    # the one lattice with as many rings and directions (n_phi on each of
+    # the rings - 2 between the poles), whose keys must then be the file's
+    rings = 1 + np.count_nonzero(ref_t[1:] != ref_t[:-1])
+    if rings < 3 or (ref_t.size - 2) % (rings - 2):
         raise ParseError(
             "directions do not form a full regular theta/phi lattice", path=path
         )
-    grid = make_regular_grid(*steps)
+    grid = make_regular_grid(180.0 / (rings - 1), 360.0 / ((ref_t.size - 2) // (rings - 2)))
 
     # grid order is ascending (theta, phi) key order, the order of each feed's rows
     grid_t, grid_p = direction_keys(grid.theta_deg, grid.phi_deg)

@@ -27,7 +27,7 @@ from arraycov.coverage import (
 )
 from arraycov.deembed import LOSS_CSV_HEADER, load_loss_csv
 from arraycov.grid import make_regular_grid
-from arraycov.ioutil import ParseError
+from arraycov.ioutil import ParseError, write_csv
 from arraycov.materials import MATERIAL_CSV_HEADER, load_material_csv
 from arraycov.pattern import (
     PATTERN_CSV_HEADER,
@@ -175,9 +175,11 @@ def test_pole_cut_charts_its_one_point_deterministically(tmp_path):
 
 
 def test_coverage_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # c10's layout at a coarser grid: 8 feeds, 4 overlapping sub-arrays, 3 bits
+    # c10's layout at a coarser grid: 8 feeds, 4 overlapping sub-arrays, 3
+    # bits; quoted, non-ASCII and space-holding labels. Nor do they depend
+    # on the hash seed, which orders sets and dicts of strings.
     grid = make_regular_grid(2.0, 10.0)
-    feeds = tuple(f"f{i}" for i in range(8))
+    feeds = ("f0", 'f"1', "f,2", "f\u00e93", "f 4", "f5", "f\u03c66", "f7")
     rng = np.random.default_rng(100)
     shape = (len(feeds), len(grid), 2)
     pset = ElementPatternSet(
@@ -185,9 +187,10 @@ def test_coverage_bytes_do_not_depend_on_blas_threads(tmp_path):
     )
     groups = [(0, 1, 2, 3), (4, 5, 6, 7), (0, 2, 4, 6), (1, 3, 5, 7)]
     loss_path = tmp_path / "losses.csv"
-    loss_path.write_text(
-        "feed,loss_db,window_halfwidth_deg\n"
-        + "".join(f"{f},{10.0 + i / 4},60.0\n" for i, f in enumerate(feeds))
+    write_csv(
+        loss_path,
+        LOSS_CSV_HEADER,
+        [feeds, [10.0 + i / 4 for i in range(len(feeds))], [60.0] * len(feeds)],
     )
     base = {
         "pattern": pattern_file(tmp_path, pset),
@@ -201,7 +204,13 @@ def test_coverage_bytes_do_not_depend_on_blas_threads(tmp_path):
         },
         "cut_thetas_deg": [90.0],
     }
-    envs = {n: {**os.environ, "OPENBLAS_NUM_THREADS": n} for n in ("1", "2")}
+    runs = [("1", "0"), ("2", "0"), ("1", "1"), ("1", "12345")]
+    envs = {
+        f"{threads}_{seed}": {
+            **os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONHASHSEED": seed
+        }
+        for threads, seed in runs
+    }
     outputs = []
     for tag, env in envs.items():
         out = tmp_path / tag
@@ -214,11 +223,12 @@ def test_coverage_bytes_do_not_depend_on_blas_threads(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    one, two = outputs
-    assert sorted(one) == sorted(two)
+    one = outputs[0]
     assert "gain_map.csv" in one and "cut_theta_90.svg" in one
-    for name in one:
-        assert one[name] == two[name], f"{name} differs between thread counts"
+    for tag, other in zip(list(envs)[1:], outputs[1:]):
+        assert sorted(one) == sorted(other)
+        for name in one:
+            assert one[name] == other[name], f"{name} differs under {tag}"
 
 
 def test_outputs_do_not_depend_on_the_locale(tmp_path):
@@ -757,6 +767,64 @@ def test_empty_beam_window_exits_4(tmp_path, capsys):
     assert main(["deembed", "--config", cfg]) == 4
     assert capsys.readouterr().err == (
         "arraycov: numeric error: no usable directions in the beam window for feed f0\n"
+    )
+
+
+def _unit_gaussian_gains():
+    rng = np.random.default_rng(0)
+    shape = (4, len(GRID), 2)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _scaled_gaussian_run(tmp_path, scale, bits):
+    """(exit code, summary or None) of a coverage run on 4 feeds of
+    complex-Gaussian gains times scale, one sub-array."""
+    pset = ElementPatternSet(GRID, ("a", "b", "c", "d"), scale * _unit_gaussian_gains())
+    out = tmp_path / f"out_{scale:g}_{bits}"
+    cfg = write_config(
+        tmp_path,
+        {
+            "pattern": pattern_file(tmp_path, pset, f"pattern_{scale:g}.csv"),
+            "plan": {"bits": bits, "sub_arrays": [{"label": "s", "feeds": list(pset.feeds)}]},
+            "output_dir": str(out),
+        },
+    )
+    code = main(["coverage", "--config", cfg])
+    summary = json.loads((out / "summary.json").read_text()) if code == 0 else None
+    return code, summary
+
+
+@pytest.mark.parametrize("bits", [1, 3])
+def test_power_overflow_exits_4(tmp_path, capsys, bits):
+    # the overflowed floor and margins once dropped every direction: exit
+    # 0, every gain -inf dB and RuntimeWarnings on stderr.
+    # At amplitude 1/2, max|w|^2 = 1/4, so the raised cap max|w|^2 (A^2 +
+    # B^2) (1 + 88 eps) overflows exactly where A^2 + B^2 does: at scale s,
+    # where s^2 max(A^2 + B^2) of the unit gains passes the largest double.
+    unit = _unit_gaussian_gains()
+    largest = np.finfo(np.float64).max
+    amp = np.abs(unit).sum(axis=0)
+    threshold = math.sqrt(largest / (amp**2).sum(axis=1).max())
+    # the last scale puts the largest |g| at 0.9 of the largest double, so
+    # that the sums of |g| overflow too
+    for scale in (
+        {1: 1e160, 3: 1e154}[bits],
+        threshold * (1.0 + 1e-6),
+        0.9 * largest / np.abs(unit).max(),
+    ):
+        assert _scaled_gaussian_run(tmp_path, scale, bits) == (4, None)
+        assert capsys.readouterr().err == (
+            "arraycov: numeric error: the synthesized power overflows float64;"
+            " scale the gains down\n"
+        )
+    # just below, where (sum_m sqrt(R_mm))^2 passes the largest double in
+    # the kernel's select, the run's powers are the unit run's, rescaled
+    scale = threshold * (1.0 - 1e-6)
+    code, summary = _scaled_gaussian_run(tmp_path, scale, bits)
+    _, unit_summary = _scaled_gaussian_run(tmp_path, 1.0, bits)
+    assert code == 0 and capsys.readouterr().err == ""
+    assert summary["peak_gain_db"] == pytest.approx(
+        unit_summary["peak_gain_db"] + 20.0 * math.log10(scale), abs=1e-9
     )
 
 

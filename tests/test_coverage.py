@@ -370,6 +370,32 @@ def test_cdf_permutation_invariant():
     np.testing.assert_allclose(a.cdf, b.cdf, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("step", [2.0, 1.0, 0.25])
+@pytest.mark.parametrize("p", [0.01, 0.1, 0.5, 0.9])
+def test_dipole_cdf_matches_its_closed_form(step, p):
+    # A z-directed short dipole, g_theta = sqrt(1.5) sin(theta), has
+    # G = 1.5 sin^2(theta), so G < g on the polar caps theta < t_g and
+    # theta > 180 - t_g, where cos(t_g) = sqrt(1 - g / 1.5): P(G < g) =
+    # 1 - sqrt(1 - g / 1.5). A ring carries its band's solid angle, and the
+    # bands tile the sphere; a band wholly inside or outside the caps
+    # counts as its exact share. Only the bands that hold a cap's edge can
+    # count wrongly, by at most their own weight.
+    grid = make_regular_grid(step, 120.0)
+    gains = np.zeros((1, len(grid), 2), dtype=complex)
+    gains[0, :, 0] = math.sqrt(1.5) * np.sin(np.radians(grid.theta_deg))
+    pset = ElementPatternSet(grid, ("z",), gains)
+    result = coverage_cdf(
+        max_gain_over_plan(pset, SynthesisPlan((SubArraySpec("s", (0,)),), bits=1))
+    )
+    g = 1.5 * (1.0 - (1.0 - p) ** 2)  # the exact p-quantile
+    edge = math.degrees(math.acos(math.sqrt(1.0 - g / 1.5)))
+    held = np.zeros(len(grid), dtype=bool)
+    for boundary in (edge, 180.0 - edge):
+        held |= np.abs(grid.theta_deg - boundary) <= step / 2.0
+    bound = grid.weight_sr[held].sum() / (4.0 * math.pi)
+    assert abs(result.cdf_at(10.0 * math.log10(g)) - p) <= bound + 1e-12
+
+
 def test_common_scaling_shifts_percentiles():
     grid = make_uniform_sphere_grid(150)
     base = max_gain_over_plan(*random_single_element_plan(grid, 4, seed=11))

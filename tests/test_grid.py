@@ -11,13 +11,12 @@ from arraycov.grid import (
     SphericalGrid,
     _band_solid_angle,
     _uniform_ring_layout,
-    detect_regular_steps,
     direction_keys,
     make_regular_grid,
     make_uniform_sphere_grid,
     ring_index,
 )
-from arraycov.pattern import ElementPatternSet, load_pattern_csv, save_pattern_csv
+from arraycov.pattern import ElementPatternSet, load_pattern_csv, resample, save_pattern_csv
 
 FULL_SPHERE = 4.0 * math.pi
 
@@ -96,8 +95,8 @@ def test_regular_grid_south_pole_when_steps_round_short(n_theta):
 # 39, 78 and 156 also put n * (180 / n) below 180
 @pytest.mark.parametrize("n_theta", [7, 39, 78, 156])
 def test_regular_grid_csv_round_trips_at_inexact_steps(tmp_path, n_theta):
-    # a pattern CSV on the lattice: its reader finds the steps with
-    # detect_regular_steps
+    # a pattern CSV on the lattice: its reader counts the rings and the
+    # directions, and checks the keys against make_regular_grid's
     grid = make_regular_grid(180.0 / n_theta, 90.0)
     rng = np.random.default_rng(n_theta)
     shape = (1, len(grid), 2)
@@ -350,39 +349,6 @@ def test_nonpositive_weights_rejected():
         )
 
 
-def test_detect_regular_steps():
-    grid = make_regular_grid(15.0, 45.0)
-    steps = detect_regular_steps(grid.theta_deg, grid.phi_deg)
-    assert steps == (15.0, 45.0)
-    uniform = make_uniform_sphere_grid(100)
-    assert detect_regular_steps(uniform.theta_deg, uniform.phi_deg) is None
-
-
-def test_detect_regular_steps_rejects_off_lattice_rings_and_doubled_poles():
-    grid = make_regular_grid(60.0, 90.0)
-    theta = grid.theta_deg.copy()
-    theta[theta == 60.0] = 50.0  # poles and three rings, not evenly spaced
-    assert detect_regular_steps(theta, grid.phi_deg) is None
-    # a second north-pole sample at another phi
-    theta = np.concatenate([[0.0], grid.theta_deg])
-    phi = np.concatenate([[90.0], grid.phi_deg])
-    assert detect_regular_steps(theta, phi) is None
-
-
-@pytest.mark.parametrize(
-    "shift, regular", [(5e-10, True), (1e-6, False), (45.0, False), (0.0, True)]
-)
-def test_detect_regular_steps_phi_tolerance(shift, regular):
-    # phi may sit 1e-9 off the lattice in any row order; pole phi is free
-    grid = make_regular_grid(15.0, 45.0)
-    order = np.random.default_rng(2).permutation(len(grid))
-    theta, phi = grid.theta_deg[order], grid.phi_deg[order].copy()
-    phi[theta == 180.0] = 123.0
-    phi[np.flatnonzero(theta == 60.0)[3]] += shift
-    steps = detect_regular_steps(theta, phi)
-    assert steps == ((15.0, 45.0) if regular else None)
-
-
 def test_ring_structure():
     grid = make_regular_grid(45.0, 90.0)
     index = ring_index(grid)
@@ -425,18 +391,19 @@ def test_ring_index_is_the_sorted_layout(theta_step, phi_step):
     assert len(rings[0]) == len(rings[-1]) == 1
 
 
-def test_ring_index_rejects_a_regular_grid_of_another_length():
+@pytest.mark.parametrize("permuted", [False, True])
+def test_a_grid_built_from_arrays_is_not_regular(permuted):
+    # kind is a label: only make_regular_grid gives a grid steps, and with
+    # them the layout that ring_index reads
     grid = make_regular_grid(30.0, 90.0)
-    keep = np.arange(len(grid) - 1)
-    short = SphericalGrid(
-        grid.theta_deg[keep], grid.phi_deg[keep], grid.weight_sr[keep], kind=grid.kind,
-        theta_step_deg=grid.theta_step_deg, phi_step_deg=grid.phi_step_deg,
+    order = np.random.default_rng(4).permutation(len(grid)) if permuted else slice(None)
+    built = SphericalGrid(
+        grid.theta_deg[order], grid.phi_deg[order], grid.weight_sr[order], kind="regular"
     )
-    with pytest.raises(ValueError, match="does not fit its steps"):
-        ring_index(short)
-    coarse = SphericalGrid(
-        grid.theta_deg, grid.phi_deg, grid.weight_sr, kind=grid.kind,
-        theta_step_deg=grid.theta_step_deg, phi_step_deg=180.0,
-    )
-    with pytest.raises(ValueError, match="does not fit its steps"):
-        ring_index(coarse)
+    assert built.kind == "regular" and not built.is_regular
+    assert built.theta_step_deg is None and built.phi_step_deg is None
+    with pytest.raises(ValueError, match="requires a regular grid"):
+        ring_index(built)
+    pset = ElementPatternSet(built, ("a",), np.zeros((1, len(built), 2)))
+    with pytest.raises(ValueError, match="regular source grid"):
+        resample(pset, make_uniform_sphere_grid(30))

@@ -17,7 +17,6 @@ from arraycov import cli, pattern, patterncache
 from arraycov.grid import (
     SphericalGrid,
     _is_pole,
-    detect_regular_steps,
     make_regular_grid,
     make_uniform_sphere_grid,
 )
@@ -390,14 +389,13 @@ def reference_load_pattern_csv(path):
                 f"feed {feed} covers different directions than feed {first}", path=path
             )
 
-    steps = detect_regular_steps(
-        np.array([k[0] for k in keys]), np.array([k[1] for k in keys])
-    )
-    if steps is None:
+    # the lattice with as many rings and directions, its keys then checked
+    rings = len({theta for theta, _ in keys})
+    if rings < 3 or (len(keys) - 2) % (rings - 2):
         raise ParseError(
             "directions do not form a full regular theta/phi lattice", path=path
         )
-    grid = make_regular_grid(*steps)
+    grid = make_regular_grid(180.0 / (rings - 1), 360.0 / ((len(keys) - 2) // (rings - 2)))
 
     gains = np.empty((len(feeds), len(grid), 2), dtype=np.complex128)
     for fi, feed in enumerate(feeds):
@@ -481,7 +479,12 @@ def _mutate(rng, rows):
         rows[i] = ",".join(parts)
 
 
-@pytest.mark.parametrize("seed", range(40))
+# a fixed case: every feed's phi 90 at theta 45 moves to 10, so the ring
+# and direction counts still fit the lattice
+PHI_OFF_LATTICE = -1
+
+
+@pytest.mark.parametrize("seed", [*range(40), PHI_OFF_LATTICE])
 def test_reader_errors_match_row_by_row_reference(tmp_path, seed):
     # malformed files fail with the same message at the same row, or
     # load the same arrays
@@ -489,10 +492,16 @@ def test_reader_errors_match_row_by_row_reference(tmp_path, seed):
     labels = rng.sample(["a", "b", "c"], rng.randint(1, 3))
     rows = _lattice_rows(rng, (45.0, 90.0), labels, repeat_poles=seed % 2 == 0)
     rng.shuffle(rows)
-    for _ in range(rng.randint(1, 3)):
-        _mutate(rng, rows)
+    if seed == PHI_OFF_LATTICE:
+        rows = [row.replace(",45.0,90.0,", ",45.0,10.0,") for row in rows]
+    else:
+        for _ in range(rng.randint(1, 3)):
+            _mutate(rng, rows)
     path = _write_rows(tmp_path, rows)
-    assert _outcome(load_pattern_csv, path) == _outcome(reference_load_pattern_csv, path)
+    outcome = _outcome(load_pattern_csv, path)
+    assert outcome == _outcome(reference_load_pattern_csv, path)
+    if seed == PHI_OFF_LATTICE:
+        assert "is missing direction theta=45.0 phi=90.0" in outcome[1]
 
 
 # a few rows per chunk put label runs, quoted labels, blank rows, pole
@@ -732,12 +741,65 @@ def test_header_only_file_has_no_samples_and_no_warning(tmp_path):
 
 
 def test_direction_off_its_key_is_missing(tmp_path):
-    # 9e-10 from the lattice passes the lattice check, but its 9-decimal
-    # key is not the grid direction's
+    # the counts fit the lattice, but 9e-10 from it the 9-decimal key is
+    # not the grid direction's
     rows = _minimal_rows()
     rows[1] = "a,90.0,9e-10,1.0,0.5,0.0,-1.0"
     with pytest.raises(ParseError, match="missing direction theta=90.0 phi=0.0"):
         load_pattern_csv(_write_rows(tmp_path, rows))
+
+
+def _direction_rows(theta, phi):
+    return [f"a,{t!r},{p!r},1.0,0.5,0.0,-1.0" for t, p in zip(theta.tolist(), phi.tolist())]
+
+
+def _shuffled_lattice(shift):
+    """The 15 x 45 lattice in shuffled order, the south pole at phi 123 (a
+    pole's phi is free) and one phi at theta 60 moved by shift; and that
+    direction's phi on the lattice."""
+    grid = make_regular_grid(15.0, 45.0)
+    order = np.random.default_rng(2).permutation(len(grid))
+    theta, phi = grid.theta_deg[order], grid.phi_deg[order].copy()
+    phi[theta == 180.0] = 123.0
+    moved = np.flatnonzero(theta == 60.0)[3]
+    on_lattice = phi[moved]
+    phi[moved] += shift
+    return theta, phi, on_lattice
+
+
+@pytest.mark.parametrize("shift", [0.0, 5e-10])
+def test_phi_within_its_key_of_the_lattice_loads(tmp_path, shift):
+    theta, phi, _ = _shuffled_lattice(shift)
+    loaded = load_pattern_csv(_write_rows(tmp_path, _direction_rows(theta, phi)))
+    assert loaded.grid.same_directions(make_regular_grid(15.0, 45.0))
+    assert (loaded.grid.theta_step_deg, loaded.grid.phi_step_deg) == (15.0, 45.0)
+
+
+def test_phi_off_the_lattice_names_the_missing_direction(tmp_path):
+    theta, phi, on_lattice = _shuffled_lattice(1e-6)
+    message = f"feed a is missing direction theta=60.0 phi={on_lattice} "
+    with pytest.raises(ParseError, match=message):
+        load_pattern_csv(_write_rows(tmp_path, _direction_rows(theta, phi)))
+
+
+def test_ring_off_the_lattice_fails(tmp_path):
+    # poles and three rings, as many as the 60 x 90 lattice has, not evenly spaced
+    grid = make_regular_grid(60.0, 90.0)
+    theta = np.where(grid.theta_deg == 60.0, 50.0, grid.theta_deg)
+    with pytest.raises(ParseError, match="missing direction theta=60.0 phi=0.0"):
+        load_pattern_csv(_write_rows(tmp_path, _direction_rows(theta, grid.phi_deg)))
+
+
+@pytest.mark.parametrize("directions", ["poles", "uniform"])
+def test_directions_off_the_lattice_counts_fail(tmp_path, directions):
+    # two rings, or 97 directions on 9 rings: no lattice has these counts
+    if directions == "poles":
+        theta, phi = np.array([0.0, 180.0]), np.array([0.0, 0.0])
+    else:
+        grid = make_uniform_sphere_grid(100)
+        theta, phi = grid.theta_deg, grid.phi_deg
+    with pytest.raises(ParseError, match="do not form a full regular theta/phi lattice"):
+        load_pattern_csv(_write_rows(tmp_path, _direction_rows(theta, phi)))
 
 
 def _cache_entry(path):
